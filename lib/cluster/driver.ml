@@ -148,31 +148,6 @@ let syscall_cost os sysno =
   | Ok t -> t
   | Error `Enosys -> 0
 
-(* NIC control-path handling for a halo phase: on Linux every rank
-   executes its own control syscalls in parallel; on an LWK they all
-   offload and the few Linux-side cores become a service bottleneck —
-   the critical path is the larger of per-rank serial latency and the
-   queueing delay at the proxy/migration target cores. *)
-let halo_control_cost os ~ranks_per_node ~msgs_per_node ~controls =
-  if controls = [] || msgs_per_node = 0 then 0
-  else begin
-    let per_msg = List.fold_left (fun acc s -> acc + syscall_cost os s) 0 controls in
-    let per_rank_msgs = (msgs_per_node + ranks_per_node - 1) / ranks_per_node in
-    let serial = per_rank_msgs * per_msg in
-    match os.Mk_kernel.Os.offload with
-    | None -> serial
-    | Some _ ->
-        let service =
-          List.fold_left
-            (fun acc s -> acc + Mk_syscall.Cost.local s)
-            0 controls
-        in
-        let linux_cores = max 1 (List.length os.Mk_kernel.Os.os_cores) in
-        let queue = msgs_per_node * service / linux_cores in
-        Mk_obs.Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" queue;
-        max serial queue
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Containment semantics (docs/FAULTS.md)                              *)
 
@@ -185,59 +160,71 @@ let daemon_service_factor = 4.0
    the application cores and inflate every compute window. *)
 let daemon_spill_factor = 1.35
 
-(* Fault-aware version of [halo_control_cost] for one node.  The
-   healthy arithmetic is preserved exactly when the node carries no
-   active fault; each fault adds to the side of the serial/queue race
-   it physically lives on. *)
-let halo_control_cost_faulty os st ~node ~ranks_per_node ~msgs_per_node
-    ~controls =
-  if controls = [] || msgs_per_node = 0 then 0
-  else begin
-    let nic_x = Mk_fault.State.nic_extra st node in
-    let per_msg =
-      List.fold_left (fun acc s -> acc + syscall_cost os s) 0 controls + nic_x
+(* NIC control-path handling for a halo phase, added to every live
+   node's clock: on Linux every rank executes its own control syscalls
+   in parallel; on an LWK they all offload and the few Linux-side cores
+   become a service bottleneck — the critical path is the larger of
+   per-rank serial latency and the queueing delay at the
+   proxy/migration target cores.  A fault adds to the side of the
+   serial/queue race it physically lives on; a node with no active
+   fault pays the healthy arithmetic. *)
+let halo_control_cost os st ~mechanism ~ranks_per_node ~msgs_per_node
+    ~controls ~clocks =
+  if controls <> [] && msgs_per_node > 0 then begin
+    (* Node-invariant sums, once per halo. *)
+    let per_msg = List.fold_left (fun acc s -> acc + syscall_cost os s) 0 controls in
+    let service =
+      List.fold_left (fun acc s -> acc + Mk_syscall.Cost.local s) 0 controls
     in
     let per_rank_msgs = (msgs_per_node + ranks_per_node - 1) / ranks_per_node in
-    let serial = per_rank_msgs * per_msg in
-    match os.Mk_kernel.Os.offload with
-    | None -> serial
-    | Some off ->
-        let mech = Mk_ikc.Offload.mechanism off in
-        let proxy_stalled =
-          match mech with
-          | Mk_ikc.Offload.Proxy _ -> Mk_fault.State.proxy_down st node
-          | Mk_ikc.Offload.Migration _ -> false
+    let os_cores = List.length os.Mk_kernel.Os.os_cores in
+    let alive = Mk_fault.State.alive_array st in
+    for n = 0 to Array.length clocks - 1 do
+      if alive.(n) then begin
+        let nic_x = Mk_fault.State.nic_extra st n in
+        let serial = per_rank_msgs * (per_msg + nic_x) in
+        let cost =
+          match mechanism with
+          | None -> serial
+          | Some mech ->
+              let proxy_stalled =
+                match mech with
+                | Mk_ikc.Offload.Proxy _ -> Mk_fault.State.proxy_down st n
+                | Mk_ikc.Offload.Migration _ -> false
+              in
+              let target_lost =
+                match mech with
+                | Mk_ikc.Offload.Migration _ -> Mk_fault.State.thread_lost st n
+                | Mk_ikc.Offload.Proxy _ -> false
+              in
+              let service =
+                if Mk_fault.State.daemon_hung st n then
+                  int_of_float
+                    (Float.round (float_of_int service *. daemon_service_factor))
+                else service
+              in
+              let per_offload_extra =
+                (if proxy_stalled then
+                   (* Each offloaded request this iteration stalls for
+                      one IKC timeout before the retry lands on the
+                      respawned proxy. *)
+                   os.Mk_kernel.Os.resilience.Mk_fault.Retry.timeout
+                 else 0)
+                + (if target_lost then Mk_ikc.Offload.failover_cost mech else 0)
+                + nic_x
+              in
+              let linux_cores =
+                max 1 (os_cores - if target_lost then 1 else 0)
+              in
+              let queue =
+                msgs_per_node * (service + per_offload_extra) / linux_cores
+              in
+              Mk_obs.Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" queue;
+              max serial queue
         in
-        let target_lost =
-          match mech with
-          | Mk_ikc.Offload.Migration _ -> Mk_fault.State.thread_lost st node
-          | Mk_ikc.Offload.Proxy _ -> false
-        in
-        let service =
-          let s =
-            List.fold_left (fun acc s -> acc + Mk_syscall.Cost.local s) 0 controls
-          in
-          if Mk_fault.State.daemon_hung st node then
-            int_of_float (Float.round (float_of_int s *. daemon_service_factor))
-          else s
-        in
-        let per_offload_extra =
-          (if proxy_stalled then
-             (* Each offloaded request this iteration stalls for one
-                IKC timeout before the retry lands on the respawned
-                proxy. *)
-             os.Mk_kernel.Os.resilience.Mk_fault.Retry.timeout
-           else 0)
-          + (if target_lost then Mk_ikc.Offload.failover_cost mech else 0)
-          + nic_x
-        in
-        let linux_cores =
-          max 1
-            (List.length os.Mk_kernel.Os.os_cores - if target_lost then 1 else 0)
-        in
-        let queue = msgs_per_node * (service + per_offload_extra) / linux_cores in
-        Mk_obs.Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" queue;
-        max serial queue
+        clocks.(n) <- clocks.(n) + cost
+      end
+    done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -245,18 +232,24 @@ let halo_control_cost_faulty os st ~node ~ranks_per_node ~msgs_per_node
 
 let with_obs obs f = match obs with None -> () | Some r -> f r
 
-let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
+(* A fault instant on the victim's timeline, in the recorder (when
+   tracing) and in the flight ring (when armed). *)
+let fault_instant obs ~ts ~node name =
+  with_obs obs (fun r ->
+      Mk_obs.Recorder.instant r ~ts ~node ~tid:0 ~cat:"fault" ~name ());
+  Mk_obs.Flight.record_instant ~ts ~node ~cat:"fault" ~name ()
+
+let run_body ?eager_threshold ~faults ~obs ~(scenario : Scenario.t)
     ~(app : Mk_apps.App.t) ~nodes ~seed () =
   if nodes <= 0 then invalid_arg "Driver.run: nodes must be positive";
   (* Attribution cursor: Tier-1 pricing (memory, heap traces, IKC,
      scheduling) executes on the representative node and is charged
      to node 0. *)
   with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0);
-  let fstate =
-    match faults with
-    | None -> None
-    | Some plan -> Some (Mk_fault.State.make ~plan ~nodes)
-  in
+  (* A fault-free run is this path with an empty plan: every node
+     stays alive, every factor stays 1.0, no extra cost is charged. *)
+  let st = Mk_fault.State.make ~plan:faults ~nodes in
+  let alive = Mk_fault.State.alive_array st in
   let os = scenario.Scenario.make () in
   let ranks_per_node = app.Mk_apps.App.ranks_per_node in
   let node =
@@ -281,20 +274,19 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
   let shm_setup = Array.fold_left max 0 shm_costs in
   (* Heap traces replay on every rank: each process owns its heap, so
      the node pays the cost of the slowest rank. *)
-  let replay_trace ops =
-    let worst = ref 0 in
-    for rank = 0 to ranks_per_node - 1 do
-      let c = Mk_kernel.Node.run_ops node ~rank ops in
-      if c > !worst then worst := c
-    done;
-    !worst
-  in
-  let trace_setup =
+  let replay_trace ~iteration =
     match app.Mk_apps.App.trace with
     | None -> 0
-    | Some trace -> replay_trace (trace ~nodes ~iteration:(-1))
+    | Some trace ->
+        let ops = trace ~nodes ~iteration in
+        let worst = ref 0 in
+        for rank = 0 to ranks_per_node - 1 do
+          let c = Mk_kernel.Node.run_ops node ~rank ops in
+          if c > !worst then worst := c
+        done;
+        !worst
   in
-  let setup_time = setup_mem + shm_setup + trace_setup in
+  let setup_time = setup_mem + shm_setup + replay_trace ~iteration:(-1) in
   with_obs obs (fun r ->
       Mk_obs.Recorder.span r ~ts:0 ~dur:setup_time ~node:0 ~tid:0 ~cat:"phase"
         ~name:"setup" ());
@@ -337,61 +329,42 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
        model); the tree edges see only wire time. *)
     { env with Mk_mpi.Collective.syscall_cost = (fun _ -> 0) }
   in
-  (* Fault plumbing.  Everything below is gated on [fstate]: with no
-     plan the healthy code path runs the exact pre-fault arithmetic. *)
   let mpi_policy = Mk_fault.Retry.default_mpi in
-  let renvs =
-    match fstate with
-    | None -> None
-    | Some st ->
-        let extra_edge ~src ~dst =
-          (* A flapping link drops sends; each failed attempt costs a
-             timeout plus backoff under the MPI retry policy. *)
-          let f =
-            Mk_fault.State.flap_failures st src
-            + Mk_fault.State.flap_failures st dst
-          in
-          if f = 0 then 0 else Mk_fault.Retry.retry_time mpi_policy ~failures:f
-        in
-        let alive = Mk_fault.State.alive_array st in
-        Some
-          ( Mk_mpi.Resilient.make ~base:env ~alive ~extra_edge,
-            Mk_mpi.Resilient.make ~base:halo_env ~alive ~extra_edge )
+  let flaps = Mk_fault.State.flaps st in
+  let extra_edge ~src ~dst =
+    (* A flapping link drops sends; each failed attempt costs a
+       timeout plus backoff under the MPI retry policy. *)
+    let f = flaps.(src) + flaps.(dst) in
+    if f = 0 then 0 else Mk_fault.Retry.retry_time mpi_policy ~failures:f
   in
+  let renv = Mk_mpi.Resilient.make ~base:env ~alive ~extra_edge in
+  let renv_halo = Mk_mpi.Resilient.make ~base:halo_env ~alive ~extra_edge in
   let mechanism = Option.map Mk_ikc.Offload.mechanism os.Mk_kernel.Os.offload in
   let has_proxy =
     match mechanism with Some (Mk_ikc.Offload.Proxy _) -> true | _ -> false
   in
-  let node_alive =
-    match fstate with
-    | None -> fun _ -> true
-    | Some st -> fun n -> Mk_fault.State.is_alive st n
-  in
-  let node_factor =
-    match fstate with
-    | None -> fun _ -> 1.0
-    | Some st ->
-        fun n ->
-          let f = Mk_fault.State.compute_factor st n in
-          if
-            os.Mk_kernel.Os.kind = Mk_kernel.Os.Linux
-            && Mk_fault.State.daemon_hung st n
-          then f *. daemon_spill_factor
-          else f
-  in
-  (* Per-node cost scaling; the [f = 1.0] fast path keeps the healthy
-     arithmetic purely integral. *)
+  (* Per-node cost scaling: core degradation, and on Linux the spill
+     of hung daemons onto the application cores.  The factor array is
+     read directly (no boxed float per call), and the [f = 1.0] fast
+     path keeps the healthy arithmetic purely integral. *)
+  let compute_factors = Mk_fault.State.compute_factors st in
+  let link_factors = Mk_fault.State.link_factors st in
+  let linux = os.Mk_kernel.Os.kind = Mk_kernel.Os.Linux in
   let scaled n t =
-    let f = node_factor n in
+    let f = compute_factors.(n) in
+    let f =
+      if linux && Mk_fault.State.daemon_hung st n then f *. daemon_spill_factor
+      else f
+    in
     if f = 1.0 then t else int_of_float (Float.round (float_of_int t *. f))
   in
+  (* The latest live clock; all clocks when every node is dead. *)
   let max_alive a =
-    match fstate with
-    | None -> max_array a
-    | Some st ->
-        let m = ref min_int in
-        Array.iteri (fun i c -> if Mk_fault.State.is_alive st i then m := max !m c) a;
-        if !m = min_int then max_array a else !m
+    let m = ref min_int in
+    for i = 0 to Array.length a - 1 do
+      if alive.(i) && a.(i) > !m then m := a.(i)
+    done;
+    if !m = min_int then max_array a else !m
   in
   let recoveries = ref 0 in
   let offloads_per_iteration =
@@ -407,6 +380,12 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
 
   (* --- Iterations --------------------------------------------------- *)
   let clocks = Scratch.int_array ~tag:"driver.clocks" ~len:nodes ~init:setup_time in
+  (* Every live node pays [t] of compute, scaled by its own factor. *)
+  let charge t =
+    for n = 0 to nodes - 1 do
+      if alive.(n) then clocks.(n) <- clocks.(n) + scaled n t
+    done
+  in
   let sim_iters = max 2 (min app.Mk_apps.App.sim_iterations app.Mk_apps.App.iterations) in
   let iter_durations =
     Scratch.int_array ~tag:"driver.iter_durations" ~len:sim_iters ~init:0
@@ -426,65 +405,46 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     | Some a -> Array.blit clocks 0 a 0 nodes
     | None -> ());
     (* Unfold the fault plan for this iteration. *)
-    (match fstate with
-    | None -> ()
-    | Some st ->
-        Mk_fault.State.begin_iteration st ~iteration:iter;
-        for n = 0 to nodes - 1 do
-          let f = Mk_fault.State.link_factor st n in
-          if f > 1.0 then Mk_fabric.Fabric.set_link_factor fabric ~node:n ~factor:f
-        done;
-        (* Fresh crashes: every survivor times out on the dead peer
-           (retry until give-up under the MPI policy) before the
-           collective tree is rebuilt without it. *)
-        (match Mk_fault.State.take_newly_crashed st with
-        | [] -> ()
-        | crashed ->
-            recoveries := !recoveries + List.length crashed;
-            with_obs obs (fun r ->
-                List.iter
-                  (fun n ->
-                    Mk_obs.Recorder.instant r ~ts:start ~node:n ~tid:0
-                      ~cat:"fault" ~name:"node-crash" ())
-                  crashed);
-            List.iter
-              (fun n ->
-                Mk_obs.Flight.record_instant ~ts:start ~node:n ~cat:"fault"
-                  ~name:"node-crash" ())
-              crashed;
-            if nodes > 1 then begin
-              let detect =
-                List.length crashed * Mk_fault.Retry.give_up_time mpi_policy
-              in
-              Array.iteri
-                (fun n c ->
-                  if Mk_fault.State.is_alive st n then clocks.(n) <- c + detect)
-                clocks
-            end);
-        (* Proxy crash (McKernel only): the node's offloaded requests
-           time out, back off and give up, then the proxy is
-           respawned.  A node with no offload traffic this iteration
-           never notices — the crash costs nothing (MiniFE at 256
-           nodes: halos below the eager threshold, zero control
-           syscalls). *)
-        if has_proxy && offloads_per_iteration > 0 then
-          Array.iteri
-            (fun n c ->
-              if Mk_fault.State.is_alive st n && Mk_fault.State.proxy_down st n
-              then begin
-                recoveries := !recoveries + 1;
-                with_obs obs (fun r ->
-                    Mk_obs.Recorder.instant r ~ts:c ~node:n ~tid:0 ~cat:"fault"
-                      ~name:"proxy-respawn" ());
-                Mk_obs.Flight.record_instant ~ts:c ~node:n ~cat:"fault"
-                  ~name:"proxy-respawn" ();
-                clocks.(n) <-
-                  c
-                  + Mk_fault.Retry.give_up_time os.Mk_kernel.Os.resilience
-                  + Mk_ikc.Offload.respawn_cost
-                      (Option.get mechanism)
-              end)
-            clocks);
+    Mk_fault.State.begin_iteration st ~iteration:iter;
+    for n = 0 to nodes - 1 do
+      let f = link_factors.(n) in
+      if f > 1.0 then Mk_fabric.Fabric.set_link_factor fabric ~node:n ~factor:f
+    done;
+    (* Fresh crashes: every survivor times out on the dead peer (retry
+       until give-up under the MPI policy) before the collective tree
+       is rebuilt without it. *)
+    (match Mk_fault.State.take_newly_crashed st with
+    | [] -> ()
+    | crashed ->
+        recoveries := !recoveries + List.length crashed;
+        List.iter
+          (fun n -> fault_instant obs ~ts:start ~node:n "node-crash")
+          crashed;
+        if nodes > 1 then begin
+          let detect =
+            List.length crashed * Mk_fault.Retry.give_up_time mpi_policy
+          in
+          for n = 0 to nodes - 1 do
+            if alive.(n) then clocks.(n) <- clocks.(n) + detect
+          done
+        end);
+    (* Proxy crash (McKernel only): the node's offloaded requests time
+       out, back off and give up, then the proxy is respawned.  A node
+       with no offload traffic this iteration never notices — the
+       crash costs nothing (MiniFE at 256 nodes: halos below the eager
+       threshold, zero control syscalls). *)
+    if has_proxy && offloads_per_iteration > 0 then
+      for n = 0 to nodes - 1 do
+        if alive.(n) && Mk_fault.State.proxy_down st n then begin
+          let c = clocks.(n) in
+          recoveries := !recoveries + 1;
+          fault_instant obs ~ts:c ~node:n "proxy-respawn";
+          clocks.(n) <-
+            c
+            + Mk_fault.Retry.give_up_time os.Mk_kernel.Os.resilience
+            + Mk_ikc.Offload.respawn_cost (Option.get mechanism)
+        end
+      done;
     (* Placement and page-size mix can change between iterations
        (cold shared-memory faults, heap growth), so compute costs are
        re-priced each round. *)
@@ -499,35 +459,24 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
         let c = Mk_mem.Address_space.touch_all asp ~concurrency:ranks_per_node in
         if c > !worst then worst := c
       done;
-      Array.iteri
-        (fun n c -> if node_alive n then clocks.(n) <- c + scaled n !worst)
-        clocks
+      charge !worst
     end;
     (* Heap churn replay (Lulesh): every node pays the same cost, but
        the cost differs radically between kernels and iterations. *)
-    let trace_cost =
-      match app.Mk_apps.App.trace with
-      | None -> 0
-      | Some trace -> replay_trace (trace ~nodes ~iteration:iter)
-    in
-    let fixed = trace_cost + yield_cost in
-    Array.iteri
-      (fun n c -> if node_alive n then clocks.(n) <- c + scaled n fixed)
-      clocks;
-    (* Compute windows interleaved with synchronisation points. *)
-    let sync_cost_acc = ref 0 in
-    let apply_sync sync =
-      (* Advance every node through its compute window plus its
-         sampled straggler delay, then synchronise. *)
-      let max_skew = ref (-1) and straggler = ref (-1) in
+    charge (replay_trace ~iteration:iter + yield_cost);
+    (* Advance every live node through its compute window plus its
+       sampled straggler delay over [extra] more time; returns the node
+       with the largest positive delay, or -1. *)
+    let advance ~extra =
+      let max_skew = ref 0 and straggler = ref (-1) in
       Array.iteri
         (fun n c ->
-          if node_alive n then begin
+          if alive.(n) then begin
             with_obs obs (fun r -> Mk_obs.Recorder.set_node r n);
             let w = scaled n window in
             let skew =
               Mk_noise.Injector.max_delay profile node_rngs.(n)
-                ~dur:(w + !prev_sync) ~ranks:stragglers
+                ~dur:(w + extra) ~ranks:stragglers
             in
             if skew > !max_skew then begin
               max_skew := skew;
@@ -536,84 +485,52 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
             clocks.(n) <- c + w + skew
           end)
         clocks;
+      with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0);
+      !straggler
+    in
+    (* Compute windows interleaved with synchronisation points. *)
+    let sync_cost_acc = ref 0 in
+    let apply_sync sync =
+      let straggler = advance ~extra:!prev_sync in
       with_obs obs (fun r ->
-          Mk_obs.Recorder.set_node r 0;
-          if !max_skew > 0 then
-            Mk_obs.Recorder.count_node r ~node:!straggler ~subsystem:"mpi"
+          if straggler >= 0 then
+            Mk_obs.Recorder.count_node r ~node:straggler ~subsystem:"mpi"
               ~name:"straggler" 1);
       let before = max_alive clocks in
-      if !max_skew > 0 then
-        Mk_obs.Flight.record_count ~ts:before ~node:!straggler ~subsystem:"mpi"
+      if straggler >= 0 then
+        Mk_obs.Flight.record_count ~ts:before ~node:straggler ~subsystem:"mpi"
           ~name:"straggler" 1;
-      (match (renvs, fstate) with
-      | None, _ | _, None -> (
-          match sync with
-          | `Allreduce bytes -> Mk_mpi.Collective.allreduce env ~clocks ~bytes
-          | `Halo (bytes, neighbors, msgs_per_node) ->
-              Mk_mpi.P2p.halo halo_env ~clocks ~bytes ~neighbors;
-              (* On one node there are no internode messages, hence no
-                 NIC control traffic. *)
-              if nodes > 1 then begin
-                let control =
-                  halo_control_cost os ~ranks_per_node ~msgs_per_node
-                    ~controls:(Mk_fabric.Nic.control_syscalls nic ~bytes)
-                in
-                Array.iteri (fun n c -> clocks.(n) <- c + control) clocks
-              end)
-      | Some (renv, renv_halo), Some st -> (
-          match sync with
-          | `Allreduce bytes -> Mk_mpi.Resilient.allreduce renv ~clocks ~bytes
-          | `Halo (bytes, neighbors, msgs_per_node) ->
-              Mk_mpi.Resilient.halo renv_halo ~clocks ~bytes ~neighbors;
-              if nodes > 1 then begin
-                let controls = Mk_fabric.Nic.control_syscalls nic ~bytes in
-                Array.iteri
-                  (fun n c ->
-                    if Mk_fault.State.is_alive st n then
-                      clocks.(n) <-
-                        c
-                        + halo_control_cost_faulty os st ~node:n ~ranks_per_node
-                            ~msgs_per_node ~controls)
-                  clocks
-              end));
+      let name =
+        match sync with
+        | `Allreduce bytes ->
+            Mk_mpi.Resilient.allreduce renv ~clocks ~bytes;
+            "allreduce"
+        | `Halo (bytes, neighbors, msgs_per_node) ->
+            Mk_mpi.Resilient.halo renv_halo ~clocks ~bytes ~neighbors;
+            (* On one node there are no internode messages, hence no
+               NIC control traffic. *)
+            if nodes > 1 then
+              halo_control_cost os st ~mechanism ~ranks_per_node ~msgs_per_node
+                ~controls:(Mk_fabric.Nic.control_syscalls nic ~bytes)
+                ~clocks;
+            "halo"
+      in
       let sync_cost = max_alive clocks - before in
       with_obs obs (fun r ->
-          let name =
-            match sync with `Allreduce _ -> "allreduce" | `Halo _ -> "halo"
-          in
           Mk_obs.Recorder.observe r ~subsystem:"mpi" ~name:(name ^ "_ns")
             sync_cost;
           Mk_obs.Recorder.span r ~ts:before ~dur:sync_cost ~node:0 ~tid:1
             ~cat:"mpi" ~name ());
       Mk_obs.Flight.record_span ~ts:before ~dur:sync_cost ~node:0 ~tid:1
-        ~cat:"mpi"
-        ~name:(match sync with `Allreduce _ -> "allreduce" | `Halo _ -> "halo")
-        ();
+        ~cat:"mpi" ~name ();
       sync_cost_acc := !sync_cost_acc + sync_cost
     in
     List.iter apply_sync syncs;
-    if syncs = [] then begin
-      (* No synchronisation: pure per-node progress. *)
-      Array.iteri
-        (fun n c ->
-          if node_alive n then begin
-            with_obs obs (fun r -> Mk_obs.Recorder.set_node r n);
-            let w = scaled n window in
-            let skew =
-              Mk_noise.Injector.max_delay profile node_rngs.(n) ~dur:w
-                ~ranks:stragglers
-            in
-            clocks.(n) <- c + w + skew
-          end)
-        clocks;
-      with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0)
-    end;
+    (* No synchronisation: pure per-node progress. *)
+    if syncs = [] then ignore (advance ~extra:0);
     (* Remainder of the compute that integer division dropped. *)
     let remainder = compute - (window * nsync) in
-    if remainder > 0 then
-      Array.iteri
-        (fun n c -> if node_alive n then clocks.(n) <- c + scaled n remainder)
-        clocks;
+    if remainder > 0 then charge remainder;
     prev_sync := !sync_cost_acc / nsync;
     (match (iter_snap, obs) with
     | Some a, Some r ->
@@ -669,25 +586,22 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     faults = !faults;
     offloads_per_iteration;
     failures = Mk_kernel.Node.failures node;
-    fault_events =
-      (match fstate with
-      | None -> 0
-      | Some st -> Mk_fault.State.events_applied st);
-    dead_nodes =
-      (match fstate with None -> 0 | Some st -> Mk_fault.State.dead_count st);
+    fault_events = Mk_fault.State.events_applied st;
+    dead_nodes = Mk_fault.State.dead_count st;
     recoveries = !recoveries;
   }
 
-let run ?eager_threshold ?faults ?obs ~scenario ~app ~nodes ~seed () =
+let run ?eager_threshold ?(faults = Mk_fault.Plan.empty) ?obs ~scenario ~app
+    ~nodes ~seed () =
   match obs with
   | None ->
-      run_body ?eager_threshold ?faults ~obs:None ~scenario ~app ~nodes ~seed ()
+      run_body ?eager_threshold ~faults ~obs:None ~scenario ~app ~nodes ~seed ()
   | Some r ->
       (* Install the recorder in the domain-local hook slot so the
          Tier-1 layers (mem, ikc, noise, fault, mpi, sched) reach it
          without threading it through their APIs. *)
       Mk_obs.Hook.with_recorder r (fun () ->
-          run_body ?eager_threshold ?faults ~obs ~scenario ~app ~nodes ~seed ())
+          run_body ?eager_threshold ~faults ~obs ~scenario ~app ~nodes ~seed ())
 
 let pp_result ppf r =
   Format.fprintf ppf

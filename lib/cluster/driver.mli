@@ -59,12 +59,13 @@ val run :
 
     [faults] injects a deterministic fault plan
     ({!Mk_fault.Plan}); containment semantics per kernel are spelled
-    out in docs/FAULTS.md.  Omitting it — or passing
-    {!Mk_fault.Plan.empty} — runs the exact healthy arithmetic: the
-    fault layer is zero-cost when off.  Dead nodes' clocks freeze;
-    collectives route around them ({!Mk_mpi.Resilient}); survivors
-    pay detection, retry and respawn costs under the kernel's
-    {!Mk_fault.Retry.policy}.
+    out in docs/FAULTS.md.  It defaults to {!Mk_fault.Plan.empty}:
+    every run builds a {!Mk_fault.State} and synchronises through
+    {!Mk_mpi.Resilient}, and a fault-free run is that path with no
+    events — every node alive, every factor 1.0, no surcharge — which
+    performs the healthy arithmetic.  Dead nodes' clocks freeze;
+    collectives route around them; survivors pay detection, retry and
+    respawn costs under the kernel's {!Mk_fault.Retry.policy}.
 
     [obs] installs a {!Mk_obs.Recorder} for the run's duration: every
     instrumented layer counts into it (via {!Mk_obs.Hook}) and, when

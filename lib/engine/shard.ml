@@ -21,7 +21,16 @@
    needed for progress here — they are the per-pair safety net: each
    receiver checks every real message against the last promise and
    fails loudly on a protocol violation rather than reordering
-   events. *)
+   events.
+
+   The drain is fenced at the barrier: before an epoch the coordinator
+   records, per ordered pair, how many packets the sender had pushed,
+   and the receiver pops exactly up to that count.  Mail a peer sends
+   during epoch e therefore lands in the receiver's heap in epoch e+1,
+   never earlier — without the fence, whether it was drained in epoch
+   e depended on which shard the pool happened to run first, and that
+   changed the heap's insertion order (its tie-break) and the
+   barrier's backlog. *)
 
 type 'msg t = {
   id : int;
@@ -32,6 +41,9 @@ type 'msg t = {
   inboxes : 'msg packet Mailbox.t array;  (* indexed by source shard *)
   outboxes : 'msg packet Mailbox.t array;  (* indexed by destination shard *)
   sent_to : bool array;  (* real traffic per destination, this epoch *)
+  pushed : int array;  (* packets ever pushed, per destination *)
+  popped : int array;  (* packets ever popped, per source *)
+  fence : int array;  (* per source: packets it had pushed at the barrier *)
   promise : Units.time array;  (* per-source null-message bound *)
   mutable events : int;
   mutable cross_sent : int;
@@ -83,6 +95,10 @@ let schedule (t : _ t) ~at handler =
          t.events <- t.events + 1;
          handler t))
 
+let push (t : _ t) dst packet =
+  Mailbox.push t.outboxes.(dst) packet;
+  t.pushed.(dst) <- t.pushed.(dst) + 1
+
 let send (t : 'msg t) ~shard ~at (payload : 'msg) =
   if shard < 0 || shard >= t.shards then
     invalid_arg "Shard.send: destination shard out of range";
@@ -94,14 +110,14 @@ let send (t : 'msg t) ~shard ~at (payload : 'msg) =
   else begin
     if at < sat_add (Sim.now t.sim) t.lookahead then
       invalid_arg "Shard.send: cross-shard message inside the lookahead window";
-    Mailbox.push t.outboxes.(shard) (Msg { at; payload });
+    push t shard (Msg { at; payload });
     t.sent_to.(shard) <- true;
     t.cross_sent <- t.cross_sent + 1;
     if at < t.min_sent then t.min_sent <- at
   end
 
-(* One shard's share of an epoch: merge the mail received at the
-   boundary (in source-shard order — the deterministic merge), fire
+(* One shard's share of an epoch: merge the mail received up to the
+   fence (in source-shard order — the deterministic merge), fire
    everything up to the horizon, then promise every silent peer a
    bound for the next epoch.  Returns (next local timestamp, earliest
    real send), the shard's contribution to the next global bound. *)
@@ -109,22 +125,20 @@ let epoch (t : _ t) ~horizon =
   for src = 0 to t.shards - 1 do
     if src <> t.id then begin
       let box = t.inboxes.(src) in
-      let rec drain () =
-        match Mailbox.pop box with
-        | None -> ()
+      while t.popped.(src) < t.fence.(src) do
+        (match Mailbox.pop box with
+        | None -> invalid_arg "Shard: fenced packet missing from its mailbox"
         | Some (Msg { at; payload }) ->
             if at < t.promise.(src) then
               invalid_arg "Shard: message arrived before its null promise";
             ignore
               (Sim.schedule t.sim ~at (fun _ ->
                    t.events <- t.events + 1;
-                   t.deliver t payload));
-            drain ()
+                   t.deliver t payload))
         | Some (Null { bound }) ->
-            if bound > t.promise.(src) then t.promise.(src) <- bound;
-            drain ()
-      in
-      drain ()
+            if bound > t.promise.(src) then t.promise.(src) <- bound);
+        t.popped.(src) <- t.popped.(src) + 1
+      done
     end
   done;
   let before = t.events in
@@ -136,7 +150,7 @@ let epoch (t : _ t) ~horizon =
   let bound = sat_add (Sim.now t.sim) t.lookahead in
   for dst = 0 to t.shards - 1 do
     if dst <> t.id && not t.sent_to.(dst) then begin
-      Mailbox.push t.outboxes.(dst) (Null { bound });
+      push t dst (Null { bound });
       t.nulls_sent <- t.nulls_sent + 1
     end
   done;
@@ -159,6 +173,9 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
           inboxes = Array.init shards (fun src -> boxes.(src).(i));
           outboxes = boxes.(i);
           sent_to = Array.make shards false;
+          pushed = Array.make shards 0;
+          popped = Array.make shards 0;
+          fence = Array.make shards 0;
           promise = Array.make shards 0;
           events = 0;
           cross_sent = 0;
@@ -209,8 +226,11 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
           and stalls = sum (fun t -> t.stalls) in
           let backlog = ref 0 in
           Array.iter
-            (Array.iter (fun box -> backlog := !backlog + Mailbox.length box))
-            boxes;
+            (fun t ->
+              for src = 0 to shards - 1 do
+                backlog := !backlog + ts.(src).pushed.(t.id) - t.popped.(src)
+              done)
+            ts;
           f
             {
               sample_epoch = !epochs;
@@ -234,6 +254,14 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
     else begin
       incr epochs;
       let horizon = sat_add g (lookahead - 1) in
+      (* The fence: every shard drains exactly what its peers had
+         pushed by this barrier. *)
+      Array.iter
+        (fun t ->
+          for src = 0 to shards - 1 do
+            t.fence.(src) <- ts.(src).pushed.(t.id)
+          done)
+        ts;
       reports :=
         Pool.parallel_map ?pool (fun i -> epoch ts.(i) ~horizon) ids;
       observe ~g ~horizon

@@ -85,16 +85,15 @@ let begin_iteration t ~iteration =
     t.plan.Plan.events;
   t.last_iteration <- iteration
 
-let is_alive t n = t.alive.(n)
 let alive_array t = t.alive
 
 let alive_count t =
   Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.alive
 
-let compute_factor t n = t.compute_factor.(n)
+let compute_factors t = t.compute_factor
 let daemon_hung t n = t.daemon_left.(n) > 0
-let link_factor t n = t.link_factor.(n)
-let flap_failures t n = t.flap.(n)
+let link_factors t = t.link_factor
+let flaps t = t.flap
 let nic_extra t n = t.nic_extra.(n)
 let proxy_down t n = t.proxy_down.(n)
 let thread_lost t n = t.thread_lost.(n)

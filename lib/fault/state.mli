@@ -25,20 +25,24 @@ val begin_iteration : t -> iteration:int -> unit
 
 (** {1 Per-node queries} (valid for the current iteration) *)
 
-val is_alive : t -> int -> bool
 val alive_array : t -> bool array  (** shared, do not mutate *)
 
 val alive_count : t -> int
 
-val compute_factor : t -> int -> float
-(** >= 1.0; product of the node's core-degrade events. *)
+val compute_factors : t -> float array
+(** Per node, >= 1.0; product of its core-degrade events.  Shared, do
+    not mutate.  An array rather than a per-node call: a float returned
+    across the module boundary is boxed on every call. *)
 
 val daemon_hung : t -> int -> bool
-val link_factor : t -> int -> float  (** >= 1.0 *)
+val link_factors : t -> float array
+(** Per node, >= 1.0; product of its link-degrade events.  Shared, do
+    not mutate. *)
 
-val flap_failures : t -> int -> int
-(** Failed send attempts each message from this node suffers this
-    iteration (0 when the link is healthy). *)
+val flaps : t -> int array
+(** Per node, the failed send attempts each message from it suffers
+    this iteration (0 when the link is healthy).  Shared, do not
+    mutate. *)
 
 val nic_extra : t -> int -> Mk_engine.Units.time
 (** Added control-path latency per message this iteration. *)

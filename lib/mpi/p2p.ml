@@ -15,9 +15,27 @@ let neighbor_offsets ~nodes ~neighbors =
     |> fun l -> take neighbors l
   end
 
-let messages_per_node ~neighbors = neighbors
+(* Latest arrival at node [i] over its live neighbours, starting from
+   its own clock plus its send cost.  Top-level recursion with every
+   input passed explicitly: this runs once per node per halo, and a
+   capturing fold closure per node was pure minor-heap churn. *)
+let rec arrival env ~alive ~extra_edge ~before ~n ~i ~bytes ~send_cost acc =
+  function
+  | [] -> acc
+  | off :: rest ->
+      let j = (((i + off) mod n) + n) mod n in
+      let acc =
+        if not alive.(j) then acc
+        else
+          max acc
+            (before.(j) + send_cost
+            + Mk_fabric.Fabric.wire_time env.Collective.fabric ~src:j ~dst:i
+                ~bytes
+            + extra_edge ~src:j ~dst:i)
+      in
+      arrival env ~alive ~extra_edge ~before ~n ~i ~bytes ~send_cost acc rest
 
-let halo env ~clocks ~bytes ~neighbors =
+let halo_alive env ~alive ~extra_edge ~clocks ~bytes ~neighbors =
   let n = Array.length clocks in
   if n > 1 && neighbors > 0 then begin
     Mk_obs.Hook.count ~subsystem:"mpi" ~name:"halo_calls" 1;
@@ -34,19 +52,15 @@ let halo env ~clocks ~bytes ~neighbors =
        2048-node clock array was pure minor-heap churn. *)
     let before = Mk_engine.Scratch.int_array ~tag:"p2p.halo.before" ~len:n ~init:0 in
     Array.blit clocks 0 before 0 n;
-    Array.iteri
-      (fun i c ->
-        let arrival =
-          List.fold_left
-            (fun acc off ->
-              let j = ((i + off) mod n + n) mod n in
-              let wire =
-                Mk_fabric.Fabric.wire_time env.Collective.fabric ~src:j ~dst:i
-                  ~bytes
-              in
-              max acc (before.(j) + send_cost + wire))
-            (c + send_cost) offsets
-        in
-        clocks.(i) <- arrival)
-      before
+    for i = 0 to n - 1 do
+      if alive.(i) then
+        clocks.(i) <-
+          arrival env ~alive ~extra_edge ~before ~n ~i ~bytes ~send_cost
+            (before.(i) + send_cost) offsets
+    done
   end
+
+let halo env ~clocks ~bytes ~neighbors =
+  halo_alive env
+    ~alive:(Array.make (Array.length clocks) true)
+    ~extra_edge:(fun ~src:_ ~dst:_ -> 0) ~clocks ~bytes ~neighbors

@@ -11,12 +11,24 @@
 val neighbor_offsets : nodes:int -> neighbors:int -> int list
 (** Symmetric ring offsets approximating a 3D stencil on [nodes]. *)
 
+val halo_alive :
+  Collective.cost_env ->
+  alive:bool array ->
+  extra_edge:(src:int -> dst:int -> Mk_engine.Units.time) ->
+  clocks:Mk_engine.Units.time array ->
+  bytes:int ->
+  neighbors:int ->
+  unit
+(** The one halo loop.  Ring geometry follows [Array.length clocks]
+    (ranks keep their coordinates when nodes die); only nodes with
+    [alive.(i)] advance, and they wait only for live neighbours.  Each
+    message pays its wire time plus [extra_edge ~src ~dst]. *)
+
 val halo :
   Collective.cost_env ->
   clocks:Mk_engine.Units.time array ->
   bytes:int ->
   neighbors:int ->
   unit
-(** In place: clocks advance to the end of the exchange. *)
-
-val messages_per_node : neighbors:int -> int
+(** In place: clocks advance to the end of the exchange.
+    {!halo_alive} with every node alive and no extra edge cost. *)

@@ -2,121 +2,26 @@ type env = {
   base : Collective.cost_env;
   alive : bool array;
   extra_edge : src:int -> dst:int -> Mk_engine.Units.time;
-  mutable pending_detection : Mk_engine.Units.time;
 }
 
-let make ~base ~alive ~extra_edge =
-  { base; alive; extra_edge; pending_detection = 0 }
+let make ~base ~alive ~extra_edge = { base; alive; extra_edge }
 
-let notify_crashes env ~policy ~count =
-  if count > 0 then begin
-    Mk_obs.Hook.count ~subsystem:"mpi" ~name:"crash_detections" count;
-    env.pending_detection <-
-      env.pending_detection + (count * Mk_fault.Retry.give_up_time policy)
-  end
-
-let pending_detection env = env.pending_detection
-
-let flush_detection env ~clocks =
-  if env.pending_detection > 0 then begin
-    Array.iteri
-      (fun i c -> if env.alive.(i) then clocks.(i) <- c + env.pending_detection)
-      clocks;
-    env.pending_detection <- 0
-  end
-
-(* Mirrors Collective.allreduce with the node set compacted to the
-   survivors: idx.(i) plays the role index i played in the healthy
-   tree.  With everyone alive and extra_edge = 0 the loops are the
-   same loops over the same integers. *)
+(* The survivors, in index order, become the tree's members: with
+   everyone alive this is the identity and the walk is the healthy
+   one. *)
 let allreduce env ~clocks ~bytes =
   let n = Array.length clocks in
-  if n = 0 then invalid_arg "Resilient.allreduce: no nodes";
-  Mk_obs.Hook.count ~subsystem:"mpi" ~name:"allreduce_calls" 1;
-  flush_detection env ~clocks;
-  let idx =
-    Array.of_list (List.filter (fun i -> env.alive.(i)) (List.init n Fun.id))
-  in
-  let m = Array.length idx in
-  if m > 0 then begin
-    let intra =
-      Shm.intra_allreduce ~ranks:env.base.Collective.intra_ranks ~bytes
-    in
-    let half = intra / 2 in
-    Array.iter (fun i -> clocks.(i) <- clocks.(i) + half) idx;
-    let edge ~src ~dst =
-      Collective.edge_cost env.base ~src ~dst ~bytes + env.extra_edge ~src ~dst
-    in
-    let k = ref 1 in
-    while !k < m do
-      let i = ref 0 in
-      while !i < m do
-        let j = !i + !k in
-        if j < m then begin
-          let c = edge ~src:idx.(j) ~dst:idx.(!i) in
-          clocks.(idx.(!i)) <- max clocks.(idx.(!i)) (clocks.(idx.(j)) + c)
-        end;
-        i := !i + (2 * !k)
-      done;
-      k := !k * 2
-    done;
-    let k = ref 1 in
-    while !k * 2 < m do
-      k := !k * 2
-    done;
-    while !k >= 1 do
-      let i = ref 0 in
-      while !i < m do
-        let j = !i + !k in
-        if j < m then begin
-          let c = edge ~src:idx.(!i) ~dst:idx.(j) in
-          clocks.(idx.(j)) <- max clocks.(idx.(j)) (clocks.(idx.(!i)) + c)
-        end;
-        i := !i + (2 * !k)
-      done;
-      k := !k / 2
-    done;
-    Array.iter (fun i -> clocks.(i) <- clocks.(i) + (intra - half)) idx
-  end
+  let members = Mk_engine.Scratch.int_array ~tag:"mpi.members" ~len:n ~init:0 in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if env.alive.(i) then begin
+      members.(!count) <- i;
+      incr count
+    end
+  done;
+  Collective.allreduce_members env.base ~extra_edge:env.extra_edge ~members
+    ~count:!count ~clocks ~bytes
 
-(* Mirrors P2p.halo; a dead neighbour contributes nothing to the
-   arrival max and a dead node's own clock stays frozen. *)
 let halo env ~clocks ~bytes ~neighbors =
-  flush_detection env ~clocks;
-  let n = Array.length clocks in
-  if n > 1 && neighbors > 0 then begin
-    Mk_obs.Hook.count ~subsystem:"mpi" ~name:"halo_calls" 1;
-    let offsets = P2p.neighbor_offsets ~nodes:n ~neighbors in
-    let send_cost =
-      List.length offsets
-      * List.fold_left
-          (fun acc s -> acc + env.base.Collective.syscall_cost s)
-          0
-          (Mk_fabric.Nic.control_syscalls
-             (Mk_fabric.Fabric.nic env.base.Collective.fabric)
-             ~bytes)
-    in
-    let before = Array.copy clocks in
-    Array.iteri
-      (fun i c ->
-        if env.alive.(i) then begin
-          let arrival =
-            List.fold_left
-              (fun acc off ->
-                let j = (((i + off) mod n) + n) mod n in
-                if not env.alive.(j) then acc
-                else begin
-                  let wire =
-                    Mk_fabric.Fabric.wire_time env.base.Collective.fabric
-                      ~src:j ~dst:i ~bytes
-                  in
-                  max acc
-                    (before.(j) + send_cost + wire
-                   + env.extra_edge ~src:j ~dst:i)
-                end)
-              (c + send_cost) offsets
-          in
-          clocks.(i) <- arrival
-        end)
-      before
-  end
+  P2p.halo_alive env.base ~alive:env.alive ~extra_edge:env.extra_edge ~clocks
+    ~bytes ~neighbors

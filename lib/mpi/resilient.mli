@@ -1,24 +1,26 @@
-(** Fault-aware variants of {!Collective} and {!P2p}.
+(** Fault-aware {!Collective.allreduce} and {!P2p.halo}.
 
-    Same max-plus clock semantics, three additions:
+    Same max-plus clock semantics, over the same code: the allreduce
+    runs {!Collective.allreduce_members} and the halo runs
+    {!P2p.halo_alive}, with two additions:
 
     - {b routing around crashes}: the binomial reduce/broadcast tree
-      is rebuilt over the surviving nodes (the index array is
-      compacted, the tree shape follows), and a halo exchange simply
-      stops waiting for dead neighbours — the slowdown of a thinner
-      tree {e emerges} from the composition, nothing is hard-coded;
-    - {b detection cost}: when the driver reports fresh crashes via
-      {!notify_crashes}, every survivor is charged one full
-      retry-until-give-up round ({!Mk_fault.Retry.give_up_time}) at
-      the next synchronisation — the point where the collective times
-      out on the dead peer and rebuilds;
+      is rebuilt over the surviving nodes (they become the tree's
+      members in index order, so the tree shape follows the survivor
+      count), and a halo exchange simply stops waiting for dead
+      neighbours — the slowdown of a thinner tree {e emerges} from
+      the composition, nothing is hard-coded;
     - {b per-edge surcharges}: the [extra_edge] callback prices
       transient link faults (flapping sends retried under the MPI
       policy) without this module knowing why.
 
-    With every node alive, no pending detection and a zero
-    [extra_edge], each operation is {e bit-identical} to its healthy
-    counterpart — the fault layer costs nothing when off. *)
+    Crash detection (survivors timing out on a dead peer) is priced
+    by the caller (the cluster driver) when the crash happens.
+
+    The cluster driver synchronises through this module on every run:
+    a fault-free run is the fault path with every node alive and a
+    zero [extra_edge], which is the healthy walk over the same
+    integers. *)
 
 type env
 
@@ -29,13 +31,6 @@ val make :
   env
 (** [alive] is shared with the caller (the driver's fault state
     mutates it as the plan unfolds). *)
-
-val notify_crashes :
-  env -> policy:Mk_fault.Retry.policy -> count:int -> unit
-(** Queue the detection cost for [count] fresh crashes; charged to
-    every survivor by the next collective or halo. *)
-
-val pending_detection : env -> Mk_engine.Units.time
 
 val allreduce :
   env -> clocks:Mk_engine.Units.time array -> bytes:int -> unit

@@ -891,6 +891,41 @@ let test_shard_single_equals_many () =
         (run shards = one))
     [ 2; 3; 6 ]
 
+let test_shard_fenced_drain () =
+  (* Mail a peer sends during epoch e is drained only in epoch e+1.
+     Shard 0 mails shard 1 for t = 10 while shard 1 schedules a local
+     event for t = 10 in the same epoch: the heap breaks the tie by
+     insertion order, so the local event must fire first however the
+     two shards are placed on domains.  Run without a pool, the
+     unfenced drain let shard 1 take the mail before its own event. *)
+  let lookahead = 10 in
+  let run ?pool () =
+    let log = ref [] and backlog = ref [] in
+    ignore
+      (Shard.run ?pool ~shards:2 ~lookahead
+         ~observer:(fun s -> backlog := s.Shard.sample_backlog :: !backlog)
+         ~init:(fun t ->
+           Shard.schedule t ~at:0 (fun t ->
+               if Shard.id t = 0 then Shard.send t ~shard:1 ~at:lookahead "mail"
+               else
+                 Shard.schedule t ~at:lookahead (fun _ -> log := "local" :: !log)))
+         ~receive:(fun _ m -> log := m :: !log)
+         ());
+    (List.rev !log, List.rev !backlog)
+  in
+  (* After epoch 1 two packets are in flight: the mail, and shard 1's
+     null promise to its silent peer; after epoch 2, two nulls. *)
+  let expected = ([ "local"; "mail" ], [ 2; 2 ]) in
+  let check label got =
+    Alcotest.(check (pair (list string) (list int))) label expected got
+  in
+  check "sequential" (run ());
+  let pool = Pool.create ~oversubscribe:true ~num_domains:2 () in
+  for _ = 1 to 20 do
+    check "two domains" (run ~pool ())
+  done;
+  Pool.shutdown pool
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -1304,6 +1339,7 @@ let () =
           Alcotest.test_case "ping pong" `Quick test_shard_ping_pong;
           Alcotest.test_case "shard count invariance" `Quick
             test_shard_single_equals_many;
+          Alcotest.test_case "fenced drain" `Quick test_shard_fenced_drain;
         ] );
       ( "pool",
         [

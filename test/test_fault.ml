@@ -172,13 +172,13 @@ let test_state_transients_clear () =
   check_bool "quiet before" false (State.faulted st);
   State.begin_iteration st ~iteration:1;
   check_int "nic extra" 7_000 (State.nic_extra st 0);
-  check_int "flap failures" 2 (State.flap_failures st 1);
+  check_int "flap failures" 2 (State.flaps st).(1);
   check_bool "proxy down" true (State.proxy_down st 0);
   check_bool "faulted" true (State.faulted st);
   check_int "events applied" 3 (State.events_applied st);
   State.begin_iteration st ~iteration:2;
   check_int "nic cleared" 0 (State.nic_extra st 0);
-  check_int "flap cleared" 0 (State.flap_failures st 1);
+  check_int "flap cleared" 0 (State.flaps st).(1);
   check_bool "proxy back" false (State.proxy_down st 0);
   check_bool "quiet again" false (State.faulted st)
 
@@ -204,16 +204,16 @@ let test_state_crash_permanent () =
   in
   let st = State.make ~plan ~nodes:3 in
   State.begin_iteration st ~iteration:0;
-  check_bool "alive before" true (State.is_alive st 1);
+  check_bool "alive before" true (State.alive_array st).(1);
   check_int "no fresh crashes" 0 (List.length (State.take_newly_crashed st));
   State.begin_iteration st ~iteration:2;
-  check_bool "dead" false (State.is_alive st 1);
+  check_bool "dead" false (State.alive_array st).(1);
   check_int "alive count" 2 (State.alive_count st);
   check_int "dead count" 1 (State.dead_count st);
   Alcotest.(check (list int)) "fresh crash" [ 1 ] (State.take_newly_crashed st);
   Alcotest.(check (list int)) "taken once" [] (State.take_newly_crashed st);
   State.begin_iteration st ~iteration:3;
-  check_bool "stays dead" false (State.is_alive st 1);
+  check_bool "stays dead" false (State.alive_array st).(1);
   check_bool "permanent damage keeps faulted" true (State.faulted st)
 
 let test_state_skipped_iterations_apply () =
@@ -225,7 +225,7 @@ let test_state_skipped_iterations_apply () =
   State.begin_iteration st ~iteration:0;
   State.begin_iteration st ~iteration:3;
   Alcotest.(check (float 1e-9)) "applied at later visit" 1.5
-    (State.compute_factor st 0)
+    (State.compute_factors st).(0)
 
 let test_state_ignores_out_of_range () =
   let plan =
@@ -283,32 +283,6 @@ let test_resilient_dead_node_frozen () =
   Mk_mpi.Resilient.halo env ~clocks ~bytes:65536 ~neighbors:6;
   check_int "dead clock frozen in halo" 3_000 clocks.(3)
 
-let test_resilient_detection_charged_once () =
-  let nodes = 8 in
-  let alive = Array.make nodes true in
-  alive.(5) <- false;
-  let base = cost_env nodes in
-  let without =
-    Mk_mpi.Resilient.make ~base ~alive ~extra_edge:no_extra
-  in
-  let ref_clocks = clocks_of nodes in
-  Mk_mpi.Resilient.allreduce without ~clocks:ref_clocks ~bytes:8;
-  let env = Mk_mpi.Resilient.make ~base ~alive ~extra_edge:no_extra in
-  Mk_mpi.Resilient.notify_crashes env ~policy:Retry.default_mpi ~count:1;
-  let expected = Retry.give_up_time Retry.default_mpi in
-  check_int "pending queued" expected (Mk_mpi.Resilient.pending_detection env);
-  let clocks = clocks_of nodes in
-  Mk_mpi.Resilient.allreduce env ~clocks ~bytes:8;
-  check_int "pending flushed" 0 (Mk_mpi.Resilient.pending_detection env);
-  (* A uniform pre-charge commutes with max-plus: every survivor ends
-     exactly one give-up round later than without detection. *)
-  Array.iteri
-    (fun i c ->
-      if alive.(i) then
-        check_int "survivor shifted by give-up time" (ref_clocks.(i) + expected) c
-      else check_int "dead untouched" ref_clocks.(i) c)
-    clocks
-
 let test_resilient_extra_edge_surcharge () =
   let nodes = 8 in
   let base = cost_env nodes in
@@ -323,6 +297,151 @@ let test_resilient_extra_edge_surcharge () =
   Array.iteri
     (fun i c -> check_bool "surcharged" true (c > healthy.(i)))
     clocks
+
+(* List-based reference for the survivor walk and halo, written apart
+   from Collective's and P2p's loops (survivor list, copied clocks) so
+   the shared code is checked against a second formulation. *)
+let reference_allreduce base ~alive ~extra_edge ~clocks ~bytes =
+  let n = Array.length clocks in
+  let idx =
+    Array.of_list (List.filter (fun i -> alive.(i)) (List.init n Fun.id))
+  in
+  let m = Array.length idx in
+  if m > 0 then begin
+    let intra =
+      Mk_mpi.Shm.intra_allreduce ~ranks:base.Mk_mpi.Collective.intra_ranks
+        ~bytes
+    in
+    let half = intra / 2 in
+    Array.iter (fun i -> clocks.(i) <- clocks.(i) + half) idx;
+    let edge ~src ~dst =
+      Mk_mpi.Collective.edge_cost base ~src ~dst ~bytes + extra_edge ~src ~dst
+    in
+    let k = ref 1 in
+    while !k < m do
+      let i = ref 0 in
+      while !i < m do
+        let j = !i + !k in
+        if j < m then begin
+          let c = edge ~src:idx.(j) ~dst:idx.(!i) in
+          clocks.(idx.(!i)) <- max clocks.(idx.(!i)) (clocks.(idx.(j)) + c)
+        end;
+        i := !i + (2 * !k)
+      done;
+      k := !k * 2
+    done;
+    let k = ref 1 in
+    while !k * 2 < m do
+      k := !k * 2
+    done;
+    while !k >= 1 do
+      let i = ref 0 in
+      while !i < m do
+        let j = !i + !k in
+        if j < m then begin
+          let c = edge ~src:idx.(!i) ~dst:idx.(j) in
+          clocks.(idx.(j)) <- max clocks.(idx.(j)) (clocks.(idx.(!i)) + c)
+        end;
+        i := !i + (2 * !k)
+      done;
+      k := !k / 2
+    done;
+    Array.iter (fun i -> clocks.(i) <- clocks.(i) + (intra - half)) idx
+  end
+
+let reference_halo base ~alive ~extra_edge ~clocks ~bytes ~neighbors =
+  let n = Array.length clocks in
+  if n > 1 && neighbors > 0 then begin
+    let offsets = Mk_mpi.P2p.neighbor_offsets ~nodes:n ~neighbors in
+    let send_cost =
+      List.length offsets
+      * List.fold_left
+          (fun acc s -> acc + base.Mk_mpi.Collective.syscall_cost s)
+          0
+          (Mk_fabric.Nic.control_syscalls
+             (Mk_fabric.Fabric.nic base.Mk_mpi.Collective.fabric)
+             ~bytes)
+    in
+    let before = Array.copy clocks in
+    Array.iteri
+      (fun i c ->
+        if alive.(i) then
+          clocks.(i) <-
+            List.fold_left
+              (fun acc off ->
+                let j = (((i + off) mod n) + n) mod n in
+                if not alive.(j) then acc
+                else
+                  max acc
+                    (before.(j) + send_cost
+                    + Mk_fabric.Fabric.wire_time base.Mk_mpi.Collective.fabric
+                        ~src:j ~dst:i ~bytes
+                    + extra_edge ~src:j ~dst:i))
+              (c + send_cost) offsets)
+      before
+  end
+
+(* Mask shapes: 0 random, 1 all alive, 2 node 0 dead, 3 one survivor. *)
+let shared_walk_args =
+  QCheck.(
+    make
+      ~print:(fun (nodes, shape, seed, bytes, neighbors) ->
+        Printf.sprintf "nodes=%d shape=%d seed=%d bytes=%d neighbors=%d" nodes
+          shape seed bytes neighbors)
+      Gen.(
+        map
+          (fun ((nodes, shape, seed), (bytes, neighbors)) ->
+            (nodes, shape, seed, bytes, neighbors))
+          (pair
+             (triple (int_range 1 40) (int_range 0 3) (int_bound 10_000))
+             (pair (oneofl [ 8; 4096; 65536; 1 lsl 20 ]) (int_range 0 6)))))
+
+let shared_walk_matches_reference =
+  QCheck.Test.make ~name:"shared walk and halo = list reference" ~count:200
+    shared_walk_args (fun (nodes, shape, seed, bytes, neighbors) ->
+      let rng = Mk_engine.Rng.create seed in
+      let alive =
+        match shape with
+        | 0 -> Array.init nodes (fun _ -> Mk_engine.Rng.int rng 3 > 0)
+        | 1 -> Array.make nodes true
+        | 2 -> Array.init nodes (fun i -> i > 0)
+        | _ ->
+            let k = Mk_engine.Rng.int rng nodes in
+            Array.init nodes (fun i -> i = k)
+      in
+      let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 1_000_000) in
+      let extra_edge ~src ~dst =
+        if ((src * 31) + (dst * 17) + seed) mod 5 = 0 then 700 else 0
+      in
+      let base = cost_env nodes in
+      let env = Mk_mpi.Resilient.make ~base ~alive ~extra_edge in
+      let run f =
+        let c = Array.copy clocks in
+        f c;
+        c
+      in
+      let same_allreduce =
+        run (fun clocks -> Mk_mpi.Resilient.allreduce env ~clocks ~bytes)
+        = run (fun clocks ->
+              reference_allreduce base ~alive ~extra_edge ~clocks ~bytes)
+      in
+      let same_halo =
+        run (fun clocks -> Mk_mpi.Resilient.halo env ~clocks ~bytes ~neighbors)
+        = run (fun clocks ->
+              reference_halo base ~alive ~extra_edge ~clocks ~bytes ~neighbors)
+      in
+      (* Everyone alive and no surcharge: the healthy entry points. *)
+      let healthy_ok =
+        shape <> 1
+        ||
+        let env = Mk_mpi.Resilient.make ~base ~alive ~extra_edge:no_extra in
+        run (fun clocks -> Mk_mpi.Resilient.allreduce env ~clocks ~bytes)
+        = run (fun clocks -> Mk_mpi.Collective.allreduce base ~clocks ~bytes)
+        && run (fun clocks ->
+               Mk_mpi.Resilient.halo env ~clocks ~bytes ~neighbors)
+           = run (fun clocks -> Mk_mpi.P2p.halo base ~clocks ~bytes ~neighbors)
+      in
+      same_allreduce && same_halo && healthy_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Driver containment *)
@@ -398,6 +517,62 @@ let test_thread_loss_hits_only_mos () =
       match s.Mk_cluster.Scenario.label with
       | "mOS" -> check_bool "mos pays" true (f < h)
       | label -> Alcotest.(check (float 1e-9)) (label ^ " untouched") h f)
+    scenarios
+
+let test_mixed_rate2_pinned () =
+  (* HPCG@64 under the mixed preset at rate 2 (132 events, 4 nodes
+     dead by the end): crashes, degradation, flaps, stalls, hangs,
+     proxy crashes and thread loss all priced in one run per kernel.
+     The expected records come from the separate faulted implementation
+     the one-path driver replaced; any change to the faulted arithmetic
+     moves them. *)
+  let app = hpcg in
+  let spec = Option.get (Plan.preset_spec "mixed" ~rate:2.0) in
+  let plan =
+    Plan.generate ~spec ~nodes:64
+      ~iterations:(max 2 (min app.Mk_apps.App.sim_iterations app.Mk_apps.App.iterations))
+      ~seed:(42 + 7919)
+  in
+  let expected : (string * Mk_cluster.Driver.result) list =
+    [
+      ( "McKernel",
+        { nodes = 64; total_time = 2392520615; solve_time = 2392362315;
+          setup_time = 158300; first_iteration = 71233875;
+          steady_iteration = 39341160; fom = 0x1.7eb00536bd668p+30;
+          mcdram_fraction = 0x1p+0; faults = 65536;
+          offloads_per_iteration = 72; failures = 0; fault_events = 132;
+          dead_nodes = 4; recoveries = 40 } );
+      ( "mOS",
+        { nodes = 64; total_time = 2276846882; solve_time = 2276688582;
+          setup_time = 158300; first_iteration = 71234185;
+          steady_iteration = 37380583; fom = 0x1.9221917e860a7p+30;
+          mcdram_fraction = 0x1p+0; faults = 65536;
+          offloads_per_iteration = 72; failures = 0; fault_events = 132;
+          dead_nodes = 4; recoveries = 4 } );
+      ( "Linux",
+        { nodes = 64; total_time = 2665999475; solve_time = 2482025375;
+          setup_time = 183974100; first_iteration = 64003831;
+          steady_iteration = 40983416; fom = 0x1.70dcee0a12f99p+30;
+          mcdram_fraction = 0x1p+0; faults = 5728;
+          offloads_per_iteration = 0; failures = 0; fault_events = 132;
+          dead_nodes = 4; recoveries = 4 } );
+    ]
+  in
+  List.iter
+    (fun (s : Mk_cluster.Scenario.t) ->
+      let got =
+        Mk_cluster.Driver.run ~faults:plan ~scenario:s ~app ~nodes:64 ~seed:42 ()
+      in
+      let want = List.assoc s.Mk_cluster.Scenario.label expected in
+      Alcotest.(check string)
+        (s.Mk_cluster.Scenario.label ^ " record")
+        (Format.asprintf "%a fom=%h events=%d dead=%d recoveries=%d"
+           Mk_cluster.Driver.pp_result want want.fom want.fault_events
+           want.dead_nodes want.recoveries)
+        (Format.asprintf "%a fom=%h events=%d dead=%d recoveries=%d"
+           Mk_cluster.Driver.pp_result got got.fom got.fault_events
+           got.dead_nodes got.recoveries);
+      check_bool (s.Mk_cluster.Scenario.label ^ " exact") true (got = want))
     scenarios
 
 (* ------------------------------------------------------------------ *)
@@ -492,11 +667,10 @@ let () =
             test_resilient_matches_healthy;
           Alcotest.test_case "dead node frozen" `Quick
             test_resilient_dead_node_frozen;
-          Alcotest.test_case "detection charged once" `Quick
-            test_resilient_detection_charged_once;
           Alcotest.test_case "extra edge surcharge" `Quick
             test_resilient_extra_edge_surcharge;
-        ] );
+        ]
+        @ qsuite [ shared_walk_matches_reference ] );
       ( "driver",
         [
           Alcotest.test_case "empty plan is zero-cost" `Quick
@@ -507,6 +681,8 @@ let () =
             test_proxy_crash_hits_only_mckernel;
           Alcotest.test_case "thread loss only hits mOS" `Slow
             test_thread_loss_hits_only_mos;
+          Alcotest.test_case "mixed rate 2 pinned" `Quick
+            test_mixed_rate2_pinned;
         ] );
       ( "determinism",
         Alcotest.test_case "degradation table" `Slow

@@ -1,27 +1,10 @@
-(* Tests for the MPI runtime: communicators, shared-memory transport,
+(* Tests for the MPI runtime: shared-memory transport,
    collectives over node clocks and halo exchanges. *)
 
 open Mk_mpi
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let test_comm_geometry () =
-  let c = Comm.make ~nodes:4 ~ranks_per_node:64 in
-  check_int "size" 256 (Comm.size c);
-  check_int "node of 130" 2 (Comm.node_of_rank c 130);
-  check_int "local of 130" 2 (Comm.local_of_rank c 130);
-  check_int "roundtrip" 130 (Comm.rank_of c ~node:2 ~local:2);
-  check_bool "same node" true (Comm.same_node c 128 130);
-  check_bool "different node" false (Comm.same_node c 64 130)
-
-let test_comm_bad_rank () =
-  let c = Comm.make ~nodes:2 ~ranks_per_node:4 in
-  check_bool "out of range rejected" true
-    (try
-       ignore (Comm.node_of_rank c 8);
-       false
-     with Invalid_argument _ -> true)
 
 let test_shm_message_time () =
   check_bool "latency floor" true (Shm.message_time ~bytes:0 >= Shm.latency);
@@ -89,18 +72,6 @@ let test_allreduce_syscall_cost_charged () =
   Collective.allreduce free ~clocks:c2 ~bytes:(256 * 1024);
   check_bool "syscalls on the critical path" true
     (Array.fold_left max 0 c1 > Array.fold_left max 0 c2)
-
-let test_barrier_is_small_allreduce () =
-  let env = mk_env () in
-  let a = Array.make 16 0 and b = Array.make 16 0 in
-  Collective.barrier env ~clocks:a;
-  Collective.allreduce env ~clocks:b ~bytes:8;
-  Alcotest.(check (array int)) "barrier = 8-byte allreduce" b a
-
-let test_synchronise () =
-  let clocks = [| 5; 9; 1 |] in
-  Collective.synchronise ~clocks;
-  Alcotest.(check (array int)) "all at max" [| 9; 9; 9 |] clocks
 
 let test_neighbor_offsets () =
   let offsets = P2p.neighbor_offsets ~nodes:64 ~neighbors:6 in
@@ -199,11 +170,6 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "mk_mpi"
     [
-      ( "comm",
-        [
-          Alcotest.test_case "geometry" `Quick test_comm_geometry;
-          Alcotest.test_case "bad rank" `Quick test_comm_bad_rank;
-        ] );
       ( "shm",
         [
           Alcotest.test_case "message time" `Quick test_shm_message_time;
@@ -218,8 +184,6 @@ let () =
         :: Alcotest.test_case "single node" `Quick test_allreduce_single_node
         :: Alcotest.test_case "syscalls charged" `Quick
              test_allreduce_syscall_cost_charged
-        :: Alcotest.test_case "barrier" `Quick test_barrier_is_small_allreduce
-        :: Alcotest.test_case "synchronise" `Quick test_synchronise
         :: qsuite [ allreduce_preserves_order ] );
       ( "intranode",
         [

@@ -55,13 +55,14 @@ chaos-smoke:
 scale-smoke:
 	dune exec bench/main.exe -- scale --smoke
 
-# The full weak-scaling sweep to 131,072 nodes; writes
-# bench/results/latest-scale.json and BENCH_scale.json.
+# The full weak-scaling sweep to 131,072 nodes; publishes
+# bench/results/scale-<timestamp>.json and scale-latest.json, and
+# copies the document to BENCH_scale.json.
 scale:
 	dune exec bench/main.exe -- scale
 
-# The tagged bench trajectory (perf/scale, smoke included) and the
-# regression diff against the previous run — see
+# The tagged bench trajectory (results, faults, perf/scale, smoke
+# included) and the regression diff against the previous run — see
 # docs/OBSERVABILITY.md §3.
 history:
 	dune exec bench/main.exe -- history

@@ -7,26 +7,29 @@
                headline micro tools isolation modes csv json
                sensitivity faults)
 
-   The `results` target is the machine-readable pipeline: it runs the
-   full suite sequentially and in parallel, checks the two agree byte
-   for byte, and writes bench/results/latest.json (plus a tagged file
-   when a tag is given):
+   The `results`, `faults`, `perf` and `scale` targets record JSON
+   documents, all through History.publish: each run writes
+   bench/results/<target>-<tag>.json and moves the <target>-latest.json
+   head, keeping the displaced one as <target>-prev.json.  The tag
+   defaults to a UTC timestamp.
 
-     dune exec bench/main.exe -- results             -- latest.json only
-     dune exec bench/main.exe -- results 20260805    -- + 20260805.json
+   The `results` target is the machine-readable pipeline: it runs the
+   full suite sequentially and in parallel and checks the two agree
+   byte for byte:
+
+     dune exec bench/main.exe -- results             -- timestamp tag
+     dune exec bench/main.exe -- results 20260805    -- results-20260805.json
      dune exec bench/main.exe -- results 20260805 8  -- with 8 jobs
 
-   The `perf` target is the wall-clock record: hot-path
-   microbenchmarks (DES events/sec, page-table pages/sec) plus the
-   suite timed sequentially and under -j 2/-j 4, written to
-   bench/results/latest-perf.json (and perf-<tag>.json).  `perf
-   --smoke` is the small CI gate variant: it fails the build when
-   -j 2 stops beating sequential.
+   The `perf` target is the wall-clock record: DES events/sec plus the
+   suite timed sequentially and under -j 2/-j 4 (target `perf`).
+   `perf --smoke` is the small CI gate variant (target `perf-smoke`):
+   it fails the build when -j 2 stops beating sequential.
 
-   Simulated time never reads the wall clock, so result files carry
-   no embedded timestamps — the tag (date, commit, …) is the caller's
-   to choose, which keeps reruns reproducible.  Wall-clock is only
-   used to time the harness itself for the speedup record.
+   Simulated time never reads the wall clock, so result documents
+   carry no embedded timestamps beyond the tag (date, commit, …),
+   which is the caller's to choose.  Wall-clock is only used to time
+   the harness itself for the speedup record.
 
    Absolute numbers are simulated; the claims under test are the
    *shapes*: who wins, by what factor, where the crossovers sit. *)
@@ -743,333 +746,22 @@ let sensitivity () =
      names, and by nothing else.\n"
 
 (* ------------------------------------------------------------------ *)
-(* RESULTS: the bench/JSON pipeline — suite trajectory on disk        *)
+(* RESULTS: the bench/JSON pipeline — documents published via History *)
 
-let results_dir = Filename.concat "bench" "results"
-
-(* Crash-safe: a killed bench run can leave a stale .tmp behind but
-   never a torn latest.json. *)
-let write_file path contents = Engine.Atomic_file.write path contents
-
-(* ------------------------------------------------------------------ *)
-(* HISTORY: tagged perf trajectory + regression diff                  *)
-
-(* Every perf/scale run — smoke included — appends to a tagged
-   history under bench/results/: [<target>-<tag>.json] is the
-   immutable snapshot, [<target>-latest.json] the moving head, and
-   [<target>-prev.json] the head it displaced, so
-   [diff --against latest] always has the run before this one to
-   compare with.  Wall clock is fine here: tags are provenance, never
-   simulation input (the determinism contract lives in lib/). *)
-let history_targets = [ "perf"; "perf-smoke"; "scale"; "scale-smoke" ]
-
-(* Tags that can never name a snapshot: "latest"/"prev" are the moving
-   heads above, "smoke" would collide with the legacy
-   [perf-smoke.json]/[scale-smoke.json] gate files. *)
-let reserved_tags = [ "latest"; "prev"; "smoke" ]
-
-let default_tag () =
-  let t = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d%02d%02d-%02d%02d%02d" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
-
-let record_history ~target ~tag doc =
-  if List.mem tag reserved_tags || String.contains tag '/' then begin
-    Printf.eprintf "history: %S is a reserved tag (reserved: %s)\n" tag
-      (String.concat " " reserved_tags);
-    exit 1
-  end;
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let path name = Filename.concat results_dir (target ^ "-" ^ name ^ ".json") in
-  let latest = path "latest" in
-  (* Preserve the displaced head first: a crash between the two writes
-     still leaves a consistent (prev, latest) pair on disk. *)
-  if Sys.file_exists latest then
-    write_file (path "prev") (Engine.Atomic_file.read latest);
-  List.iter
-    (fun p ->
-      write_file p doc;
-      Printf.printf "wrote %s\n" p)
-    [ path tag; latest ]
-
-(* A file belongs to the longest matching target prefix, so listing
-   the [perf] history never swallows [perf-smoke-*] snapshots. *)
-let history_owner file =
-  List.fold_left
-    (fun acc t ->
-      if
-        String.starts_with ~prefix:(t ^ "-") file
-        && match acc with None -> true | Some a -> String.length t > String.length a
-      then Some t
-      else acc)
-    None history_targets
-
-let history_entries target =
-  if not (Sys.file_exists results_dir) then []
-  else
-    Sys.readdir results_dir |> Array.to_list
-    |> List.filter_map (fun f ->
-           if
-             Filename.check_suffix f ".json" && history_owner f = Some target
-           then
-             let prefix_len = String.length target + 1 in
-             let tag =
-               String.sub f prefix_len (String.length f - prefix_len - 5)
-             in
-             if List.mem tag reserved_tags then None else Some tag
-           else None)
-    |> List.sort compare
-
-(* Flatten a document to dotted-path numeric leaves; list elements get
-   positional [i] indices so matching paths compare one-to-one. *)
-let rec num_leaves prefix j acc =
-  match j with
-  | Engine.Json.Int i -> (prefix, float_of_int i) :: acc
-  | Engine.Json.Float f -> (prefix, f) :: acc
-  | Engine.Json.Bool _ | Engine.Json.String _ | Engine.Json.Null -> acc
-  | Engine.Json.Obj fs ->
-      List.fold_left
-        (fun acc (k, v) ->
-          num_leaves (if prefix = "" then k else prefix ^ "." ^ k) v acc)
-        acc fs
-  | Engine.Json.List xs ->
-      snd
-        (List.fold_left
-           (fun (i, acc) v ->
-             (i + 1, num_leaves (Printf.sprintf "%s[%d]" prefix i) v acc))
-           (0, acc) xs)
-
-let flatten_doc j = List.rev (num_leaves "" j [])
-
-(* Which way is worse?  Classified from the leaf name: throughputs,
-   speedups and utilizations must not fall; overheads and percentage
-   costs must not climb.  Raw wall-clock [_seconds]/[_ns] figures are
-   report-only — they move with machine load, and gating on them makes
-   CI flake on a busy box.  Counts, seeds and simulated figures
-   (events, completion times, FOMs) are model output, legitimately
-   changed by model PRs, so they are never gated either. *)
-type direction = Higher_better | Lower_better | Report_only
-
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let leaf_name path =
-  let last =
-    match String.rindex_opt path '.' with
-    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-    | None -> path
-  in
-  match String.index_opt last '[' with
-  | Some i -> String.sub last 0 i
-  | None -> last
-
-let diff_direction path =
-  let n = leaf_name path in
-  if
-    contains_sub ~sub:"speedup" n
-    || contains_sub ~sub:"improvement" n
-    || Filename.check_suffix n "_per_sec"
-    || n = "horizon_utilization"
-  then Higher_better
-  else if Filename.check_suffix n "_pct" || contains_sub ~sub:"overhead" n then
-    Lower_better
-  else Report_only
-
-type delta = {
-  d_path : string;
-  d_old : float;
-  d_new : float;
-  d_rel : float option;  (** percent change; [None] when old is ~0 *)
-  d_dir : direction;
-  d_regression : bool;
-}
-
-(* Pair up numeric leaves by path and flag gated metrics whose change
-   crosses [threshold] percent in the bad direction.  Metrics present
-   in only one document are structure changes, not regressions — the
-   caller reports their count. *)
-let compare_docs ~threshold a b =
-  let la = flatten_doc a and lb = flatten_doc b in
-  let deltas =
-    List.filter_map
-      (fun (path, nv) ->
-        match List.assoc_opt path la with
-        | None -> None
-        | Some ov ->
-            let rel =
-              if Float.abs ov > 1e-9 then
-                Some ((nv -. ov) /. Float.abs ov *. 100.)
-              else None
-            in
-            let dir =
-              match diff_direction path with
-              | (Higher_better | Lower_better)
-                when Filename.check_suffix (leaf_name path) "_pct"
-                     && Float.abs ov < 1.0 ->
-                  (* A percentage metric with a sub-point baseline sits
-                     at the measurement's noise floor (e.g. a disabled
-                     overhead hovering around 0 +/- 1): its *relative*
-                     delta explodes on harmless jitter.  The absolute
-                     bars (perf --smoke's <= 2% gate) own that regime;
-                     the trend diff only gates once the baseline is at
-                     least one point. *)
-                  Report_only
-              | d -> d
-            in
-            let regression =
-              match (rel, dir) with
-              | Some r, Higher_better -> r < -.threshold
-              | Some r, Lower_better -> r > threshold
-              | _ -> false
-            in
-            Some
-              {
-                d_path = path;
-                d_old = ov;
-                d_new = nv;
-                d_rel = rel;
-                d_dir = dir;
-                d_regression = regression;
-              })
-      lb
-  in
-  let known l = List.filter (fun (p, _) -> List.mem_assoc p l) in
-  let missing = List.length la - List.length (known lb la) in
-  let added = List.length lb - List.length (known la lb) in
-  (deltas, missing, added)
-
-let print_diff ~threshold ~label_a ~label_b (deltas, missing, added) =
-  Printf.printf "bench diff: %s -> %s (threshold %g%%)\n" label_a label_b
-    threshold;
-  let changed = List.filter (fun d -> d.d_old <> d.d_new) deltas in
-  let show d =
-    let rel =
-      match d.d_rel with
-      | Some r -> Printf.sprintf "%+.1f%%" r
-      | None -> "(from ~0)"
-    in
-    let mark =
-      if d.d_regression then "  REGRESSION"
-      else
-        match d.d_dir with
-        | Higher_better | Lower_better -> ""
-        | Report_only -> "  (report-only)"
-    in
-    Printf.printf "  %-44s %14.6g -> %-14.6g %10s%s\n" d.d_path d.d_old
-      d.d_new rel mark
-  in
-  List.iter show changed;
-  let regressions = List.filter (fun d -> d.d_regression) deltas in
-  Printf.printf
-    "%d metric(s) compared, %d changed, %d regression(s)%s%s\n"
-    (List.length deltas) (List.length changed) (List.length regressions)
-    (if missing > 0 then Printf.sprintf ", %d dropped" missing else "")
-    (if added > 0 then Printf.sprintf ", %d new" added else "");
-  List.length regressions
-
-(* A diff operand resolves in order: literal path, a file under
-   bench/results/, a bare snapshot name, or a history target whose
-   [-latest] head is meant. *)
-let resolve_snapshot r =
-  let candidates =
-    [
-      r;
-      Filename.concat results_dir r;
-      Filename.concat results_dir (r ^ ".json");
-      Filename.concat results_dir (r ^ "-latest.json");
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None ->
-      Printf.eprintf "diff: cannot resolve %S (tried: %s)\n" r
-        (String.concat ", " candidates);
-      exit 1
-
-let read_snapshot path =
-  match Engine.Atomic_file.read_json path with
-  | j -> j
-  | exception Engine.Atomic_file.Corrupt { path; reason } ->
-      Printf.eprintf "diff: %s is corrupt: %s\n" path reason;
-      exit 1
-
-let diff_files ~threshold pa pb =
-  print_diff ~threshold ~label_a:pa ~label_b:pb
-    (compare_docs ~threshold (read_snapshot pa) (read_snapshot pb))
-
-let diff_against_latest ~smoke ~threshold =
-  let targets =
-    if smoke then [ "perf-smoke"; "scale-smoke" ] else [ "perf"; "scale" ]
-  in
-  let regressions =
-    List.fold_left
-      (fun acc t ->
-        let prev = Filename.concat results_dir (t ^ "-prev.json") in
-        let latest = Filename.concat results_dir (t ^ "-latest.json") in
-        if Sys.file_exists prev && Sys.file_exists latest then
-          acc + diff_files ~threshold prev latest
-        else begin
-          (* Fresh checkout or first run: one snapshot is no trajectory
-             yet, and a gate that fails on it would block every clean
-             clone — skip loudly instead. *)
-          Printf.printf "%s: no history to diff yet (need two runs)\n" t;
-          acc
-        end)
-      0 targets
-  in
-  if regressions > 0 then exit 1
-
-let history ?target () =
-  let show t =
-    match history_entries t with
-    | [] -> Printf.printf "%-12s (no tagged snapshots)\n" t
-    | entries ->
-        List.iter
-          (fun tag ->
-            let path = Filename.concat results_dir (t ^ "-" ^ tag ^ ".json") in
-            let summary =
-              match Engine.Atomic_file.read_json path with
-              | exception Engine.Atomic_file.Corrupt { reason; _ } ->
-                  "corrupt: " ^ reason
-              | j ->
-                  let leaves = flatten_doc j in
-                  let prefer =
-                    [ "events_per_sec"; "speedup_j2"; "null_overhead_pct";
-                      "suite_seconds"; "speedup" ]
-                  in
-                  let picks =
-                    List.filter_map
-                      (fun n ->
-                        List.find_opt (fun (p, _) -> leaf_name p = n) leaves
-                        |> Option.map (fun (_, v) ->
-                               Printf.sprintf "%s=%.4g" n v))
-                      prefer
-                  in
-                  Printf.sprintf "%d metrics%s" (List.length leaves)
-                    (match picks with
-                    | [] -> ""
-                    | _ -> "  " ^ String.concat " " picks)
-            in
-            Printf.printf "%-12s %-18s %s\n" t tag summary)
-          entries
-  in
-  match target with
-  | Some t when not (List.mem t history_targets) ->
-      Printf.eprintf "history: unknown target %s (targets: %s)\n" t
-        (String.concat " " history_targets);
-      exit 1
-  | Some t -> show t
-  | None -> List.iter show history_targets
+(* Wall-clock times the harness itself, for the speedup records; it is
+   never simulation input. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
 
 (* The regression detector tested against itself: a synthetic baseline
    vs (a) the identical document — zero regressions, exit 0 semantics —
    and (b) a deliberately degraded copy, where exactly the gated
    metrics must fire and the report-only ones must not.  This is the
    CI evidence that [diff --against latest] can actually catch a
-   regression, independent of whether the real trajectory has one. *)
+   regression, independent of whether the real trajectory has one.
+   The same target checks [History.publish]'s file layout. *)
 let diff_selftest () =
   section "DIFF-SELFTEST — regression detector vs synthetic snapshots";
   let doc ~eps ~j2 ~null ~secs ~events ~fom =
@@ -1101,9 +793,9 @@ let diff_selftest () =
     end
   in
   let regressions docs_a docs_b threshold =
-    let deltas, _, _ = compare_docs ~threshold docs_a docs_b in
-    List.filter (fun d -> d.d_regression) deltas
-    |> List.map (fun d -> d.d_path)
+    let deltas, _, _ = History.compare_docs ~threshold docs_a docs_b in
+    List.filter (fun d -> d.History.d_regression) deltas
+    |> List.map (fun d -> d.History.d_path)
     |> List.sort compare
   in
   expect "identical documents show zero regressions"
@@ -1133,9 +825,57 @@ let diff_selftest () =
   expect "sub-point pct baselines never gate (noise floor)"
     (regressions noisy_base noisy_now 25.0 = []);
   ignore
-    (print_diff ~threshold:25.0 ~label_a:"synthetic-base"
+    (History.print_diff ~threshold:25.0 ~label_a:"synthetic-base"
        ~label_b:"synthetic-degraded"
-       (compare_docs ~threshold:25.0 base bad));
+       (History.compare_docs ~threshold:25.0 base bad));
+  (* The writer itself, in a fresh directory so the real history is
+     untouched. *)
+  let cwd = Sys.getcwd () in
+  let tmp = Filename.temp_file "bench-selftest" "" in
+  Sys.remove tmp;
+  Sys.mkdir tmp 0o755;
+  Sys.chdir tmp;
+  Sys.mkdir "bench" 0o755;
+  let files () = Sys.readdir History.dir |> Array.to_list |> List.sort compare in
+  let read name = Engine.Atomic_file.read (Filename.concat History.dir name) in
+  let snapshot n = Engine.Json.Obj [ ("n", Engine.Json.Int n) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; tmp ])))
+  @@ fun () ->
+  History.publish ~target:"perf-smoke" ~tag:"a" (snapshot 1);
+  expect "first publish writes the snapshot and the head, no -prev"
+    (files () = [ "perf-smoke-a.json"; "perf-smoke-latest.json" ]);
+  History.publish ~target:"perf-smoke" ~tag:"b" (snapshot 2);
+  expect "second publish moves the old head to -prev"
+    (files ()
+     = [ "perf-smoke-a.json"; "perf-smoke-b.json"; "perf-smoke-latest.json";
+         "perf-smoke-prev.json" ]
+    && read "perf-smoke-prev.json" = read "perf-smoke-a.json"
+    && read "perf-smoke-latest.json" = read "perf-smoke-b.json");
+  (* [publish] exits on a reserved tag; run it in a child process so
+     the exit status itself is what is checked. *)
+  let exits_nonzero f =
+    flush_all ();
+    match Unix.fork () with
+    | 0 ->
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        Unix.dup2 null Unix.stdout;
+        Unix.dup2 null Unix.stderr;
+        f ();
+        exit 0
+    | pid -> (
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> false
+        | _ -> true)
+  in
+  expect "a reserved tag exits non-zero"
+    (exits_nonzero (fun () ->
+         History.publish ~target:"perf" ~tag:"latest" (snapshot 3)));
+  expect "a reserved tag writes nothing" (List.length (files ()) = 4);
+  expect "perf-smoke-x.json belongs to perf-smoke, not perf"
+    (History.owner "perf-smoke-x.json" = Some "perf-smoke");
   Printf.printf "diff-selftest: all expectations hold\n"
 
 let results ?tag ?jobs () =
@@ -1144,11 +884,6 @@ let results ?tag ?jobs () =
     match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
   in
   let seed = 42 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   Printf.printf "sequential suite (%d apps x 3 kernels, %d runs each)...\n%!"
     (List.length Apps.Registry.all) runs;
   let seq, seq_s = timed (fun () -> Cluster.Experiment.suite ~runs ~seed ()) in
@@ -1174,20 +909,8 @@ let results ?tag ?jobs () =
         ("speedup", Engine.Json.Float (seq_s /. par_s));
       ]
   in
-  let doc =
-    Engine.Json.to_string_pretty (Cluster.Report.suite_json ~runs ~seed ~meta par)
-    ^ "\n"
-  in
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let latest = Filename.concat results_dir "latest.json" in
-  write_file latest doc;
-  Printf.printf "wrote %s\n" latest;
-  match tag with
-  | None -> ()
-  | Some t ->
-      let tagged = Filename.concat results_dir (t ^ ".json") in
-      write_file tagged doc;
-      Printf.printf "wrote %s\n" tagged
+  History.publish ~target:"results" ?tag
+    (Cluster.Report.suite_json ~runs ~seed ~meta par)
 
 (* ------------------------------------------------------------------ *)
 (* FAULTS: degradation tables + isolation demo, through the pipeline  *)
@@ -1213,34 +936,22 @@ let faults () =
     tables;
   let demo = Cluster.Degradation.isolation_demo ~pool ~runs () in
   print_string (Cluster.Degradation.render_demo demo);
-  let doc =
-    Engine.Json.to_string_pretty
-      (Engine.Json.Obj
-         [
-           ("schema", Engine.Json.String "multikernel-faults-report/1");
-           ( "tables",
-             Engine.Json.List (List.map Cluster.Degradation.to_json tables) );
-           ("isolation_demo", Cluster.Degradation.demo_to_json demo);
-         ])
-    ^ "\n"
-  in
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let path = Filename.concat results_dir "faults.json" in
-  write_file path doc;
-  Printf.printf "wrote %s\n" path
+  History.publish ~target:"faults"
+    (Engine.Json.Obj
+       [
+         ("schema", Engine.Json.String "multikernel-faults-report/1");
+         ( "tables",
+           Engine.Json.List (List.map Cluster.Degradation.to_json tables) );
+         ("isolation_demo", Cluster.Degradation.demo_to_json demo);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* PERF: hot-path microbenchmarks and the parallel-speedup record     *)
 
-(* Three measurements, written to bench/results/ as
-   "multikernel-perf/1" JSON:
+(* Three measurements, published as "multikernel-perf/1" JSON:
 
      - events/sec through the DES core (Sim + Heap, with live
        cancellations exercising the tombstone-free cancel path);
-     - pages/sec through the page-table accounting (a 4 GiB 4 KiB-page
-       map/unmap, which the closed-form span arithmetic makes O(leaf
-       tables) instead of O(pages) — op_count is reported so the bound
-       is visible in the record);
      - suite wall-clock, sequential vs -j 2 (vs -j 4 in full mode),
        measured in-process back to back after a warm-up pass, because
        process start-up and first-touch effects are larger than the
@@ -1273,12 +984,7 @@ let perf ?tag ~smoke () =
   section
     (if smoke then "PERF (smoke) — hot-path gate"
      else "PERF — hot-path microbenchmarks and parallel speedup");
-  let tag = match tag with Some t -> t | None -> default_tag () in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
+  let tag = match tag with Some t -> t | None -> History.default_tag () in
   (* -- events/sec through the DES core ------------------------------ *)
   let target_events = if smoke then 200_000 else 2_000_000 in
   let chains = 64 in
@@ -1300,23 +1006,6 @@ let perf ?tag ~smoke () =
   let events_per_sec = float_of_int !fired /. sim_s in
   Printf.printf "DES core:   %d events in %.3fs = %.2fM events/s\n%!" !fired
     sim_s (events_per_sec /. 1e6);
-  (* -- pages/sec through the page-table accounting ------------------ *)
-  let gib = 1024 * 1024 * 1024 in
-  let pt_iters = if smoke then 4 else 32 in
-  let pt = Mem.Page_table.create () in
-  let (), pt_s =
-    timed (fun () ->
-        for _ = 1 to pt_iters do
-          Mem.Page_table.map pt ~vaddr:0 ~bytes:(4 * gib) ~page:Mem.Page.Small;
-          Mem.Page_table.unmap pt ~vaddr:0 ~bytes:(4 * gib) ~page:Mem.Page.Small
-        done)
-  in
-  let pages_touched = pt_iters * 2 * (4 * gib / 4096) in
-  let pages_per_sec = float_of_int pages_touched /. pt_s in
-  let pt_ops = Mem.Page_table.op_count pt in
-  Printf.printf
-    "page table: %d x (map+unmap 4 GiB of 4K) in %.3fs = %.0fM pages/s (%d inner ops)\n%!"
-    pt_iters pt_s (pages_per_sec /. 1e6) pt_ops;
   (* -- suite wall-clock: sequential vs parallel --------------------- *)
   let apps = if smoke then [ app_exn "hpcg" ] else Apps.Registry.all in
   let node_counts = if smoke then Some [ 512; 1024; 2048 ] else None in
@@ -1405,7 +1094,7 @@ let perf ?tag ~smoke () =
     | Some (_, j4_s) -> Printf.sprintf ", -j 4 %.2fs (%.2fx)" j4_s (seq_s /. j4_s)
     | None -> "");
   (* -- observability overhead: sink=Null vs Memory vs File ----------- *)
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
+  History.ensure_dir ();
   let obs_app = app_exn "hpcg" in
   let obs_nodes = 64 in
   let obs_runs = 2 in
@@ -1415,7 +1104,7 @@ let perf ?tag ~smoke () =
      a user of --trace actually pays, and the sample grows to tens of
      milliseconds where the 2% gate is meaningful. *)
   let obs_reps = if smoke then 64 else 96 in
-  let obs_trace_path = Filename.concat results_dir "obs-overhead-trace.json" in
+  let obs_trace_path = Filename.concat History.dir "obs-overhead-trace.json" in
   let obs_events = ref 0 in
   let obs_bytes = ref 0 in
   let obs_point ?obs () =
@@ -1446,7 +1135,7 @@ let perf ?tag ~smoke () =
                  in
                  obs_events := List.length (Obs.Collect.events c);
                  obs_bytes := String.length doc;
-                 write_file obs_trace_path doc
+                 Engine.Atomic_file.write obs_trace_path doc
            done))
   in
   let sink_name = function
@@ -1509,11 +1198,8 @@ let perf ?tag ~smoke () =
   (* The per-hook cost itself, both branches of the ambient sink. *)
   let hook_iters = 1_000_000 in
   let per_op f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to hook_iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int hook_iters
+    let (), s = timed (fun () -> for _ = 1 to hook_iters do f () done) in
+    s *. 1e9 /. float_of_int hook_iters
   in
   let bump () = Obs.Hook.count ~subsystem:"bench" ~name:"noop" 1 in
   let disabled_hook_ns = per_op bump in
@@ -1524,8 +1210,7 @@ let perf ?tag ~smoke () =
   Printf.printf "hook cost:  disabled %.1f ns/op, counting %.1f ns/op\n"
     disabled_hook_ns enabled_count_ns;
   let doc =
-    Engine.Json.to_string_pretty
-      (Engine.Json.Obj
+    Engine.Json.Obj
          ([
             ("schema", Engine.Json.String "multikernel-perf/1");
             ("tag", Engine.Json.String tag);
@@ -1534,8 +1219,6 @@ let perf ?tag ~smoke () =
              ("smoke", Engine.Json.Bool smoke);
              ("sim_events", Engine.Json.Int !fired);
              ("events_per_sec", Engine.Json.Float events_per_sec);
-             ("pages_per_sec", Engine.Json.Float pages_per_sec);
-             ("page_table_ops", Engine.Json.Int pt_ops);
              ( "suite",
                Engine.Json.Obj
                  ([
@@ -1606,35 +1289,16 @@ let perf ?tag ~smoke () =
                Engine.Json.Obj
                  [
                    ("des", Engine.Json.Float sim_s);
-                   ("page_table", Engine.Json.Float pt_s);
                    ("suite", Engine.Json.Float suite_phase_s);
                    ("obs", Engine.Json.Float obs_phase_s);
                  ] );
              ("outputs_identical", Engine.Json.Bool true);
-           ]))
-    ^ "\n"
+           ])
   in
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let paths =
-    if smoke then [ Filename.concat results_dir "perf-smoke.json" ]
-    else [ Filename.concat results_dir "latest-perf.json" ]
-  in
-  List.iter
-    (fun path ->
-      write_file path doc;
-      (* Round-trip through the parser so a schema-level mistake fails
-         here, not in a later consumer. *)
-      (match Engine.Json.of_string (Engine.Atomic_file.read path) with
-      | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "%s does not parse back: %s\n" path e;
-          exit 1);
-      Printf.printf "wrote %s\n" path)
-    paths;
-  (* Tagged history before the gates: a run that fails its own bar
-     still lands in the trajectory, which is exactly when the record
-     is most interesting. *)
-  record_history ~target:(if smoke then "perf-smoke" else "perf") ~tag doc;
+  (* Published before the gates: a run that fails its own bar still
+     lands in the trajectory, which is exactly when the record is most
+     interesting. *)
+  History.publish ~target:(if smoke then "perf-smoke" else "perf") ~tag doc;
   if smoke && Domain.recommended_domain_count () >= 2 && j2_s > seq_s then begin
     Printf.eprintf
       "perf --smoke: -j 2 (%.2fs) slower than sequential (%.2fs) — the\n\
@@ -1670,9 +1334,9 @@ let perf ?tag ~smoke () =
    are compared byte for byte.  The DES measurement uses the noisy
    mOS profile so fast-forward never engages and the event count is
    the honest serial event count — the sharded/serial wall-clock
-   ratio is then a pure parallel-protocol number.  Everything lands
-   in bench/results/latest-scale.json plus the repo-root
-   BENCH_scale.json so the trajectory is tracked across PRs.
+   ratio is then a pure parallel-protocol number.  The document is
+   published to the scale history and copied to the repo-root
+   BENCH_scale.json so the trajectory is tracked across changes.
 
    The smoke variant is the CI gate: small node counts, byte-identity
    at several shard counts, and — on machines with at least four
@@ -1698,12 +1362,7 @@ let scale ?tag ~smoke () =
   section
     (if smoke then "SCALE (smoke) — sharded-DES gate"
      else "SCALE — weak scaling to 131,072 nodes");
-  let tag = match tag with Some t -> t | None -> default_tag () in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
+  let tag = match tag with Some t -> t | None -> History.default_tag () in
   let cores = Domain.recommended_domain_count () in
   let shards = max 2 (min 8 cores) in
   let pool = Engine.Pool.create ~num_domains:shards () in
@@ -1851,8 +1510,7 @@ let scale ?tag ~smoke () =
     end
   in
   let doc =
-    Engine.Json.to_string_pretty
-      (Engine.Json.Obj
+    Engine.Json.Obj
          ([
             ("schema", Engine.Json.String "multikernel-scale/1");
             ("tag", Engine.Json.String tag);
@@ -1863,25 +1521,9 @@ let scale ?tag ~smoke () =
              ("points", Engine.Json.List points);
              ("identical", Engine.Json.Bool !identical);
            ]
-         @ ff_json))
-    ^ "\n"
+         @ ff_json)
   in
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let paths =
-    (* BENCH_scale.json — the repo-root trajectory headline — is
-       refreshed by every run, smoke included, so a CI pass always
-       leaves a non-empty bench record behind (the "smoke" field in
-       the document says which kind of run produced it). *)
-    if smoke then
-      [ Filename.concat results_dir "scale-smoke.json"; "BENCH_scale.json" ]
-    else [ Filename.concat results_dir "latest-scale.json"; "BENCH_scale.json" ]
-  in
-  List.iter
-    (fun path ->
-      write_file path doc;
-      Printf.printf "wrote %s\n" path)
-    paths;
-  record_history ~target:(if smoke then "scale-smoke" else "scale") ~tag doc;
+  History.publish ~target:(if smoke then "scale-smoke" else "scale") ~tag doc;
   if not !identical then begin
     Printf.eprintf
       "scale: sharded DES diverged from the serial heap — the conservative \
@@ -1891,41 +1533,32 @@ let scale ?tag ~smoke () =
 
 (* The CI parse gate: a results file on disk must always be complete,
    valid JSON — the atomic writer makes a torn file impossible, this
-   catches manual edits and schema-level corruption.  Every snapshot
-   under bench/results/ is checked, dated ones included; the directory
-   listing is sorted so the report order never depends on readdir. *)
+   catches manual edits and schema-level corruption.  check-json checks
+   one explicit file (ci.sh runs it over the trace-smoke exports);
+   check-results checks every snapshot under bench/results/, dated ones
+   included, in sorted order so the report never depends on readdir. *)
+let check_json path =
+  match Engine.Atomic_file.read_json path with
+  | _ -> Printf.printf "%s parses\n" path
+  | exception Engine.Atomic_file.Corrupt { path; reason } ->
+      (* [reason] carries the parser's byte offset. *)
+      Printf.eprintf "%s is corrupt: %s\n" path reason;
+      exit 1
+
 let check_results () =
-  let check path =
-    match Engine.Atomic_file.read_json path with
-    | _ -> Printf.printf "%s parses\n" path
-    | exception Engine.Atomic_file.Corrupt { path; reason } ->
-        (* [reason] carries the parser's byte offset. *)
-        Printf.eprintf "%s is corrupt: %s\n" path reason;
-        exit 1
-  in
-  if not (Sys.file_exists results_dir) then
+  if not (Sys.file_exists History.dir) then
     Printf.printf "%s absent (run the results/faults target first)\n"
-      results_dir
+      History.dir
   else
     let files =
-      Sys.readdir results_dir |> Array.to_list
+      Sys.readdir History.dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".json")
       |> List.sort compare
     in
     if files = [] then
       Printf.printf "%s has no JSON snapshots (run the results target first)\n"
-        results_dir
-    else List.iter (fun f -> check (Filename.concat results_dir f)) files
-
-(* check-json PATH: the same parse gate pointed at one explicit file —
-   ci.sh runs it over the trace-smoke exports, and it works on any
-   JSON artifact (a simos --trace output, a tagged results file). *)
-let check_json path =
-  match Engine.Atomic_file.read_json path with
-  | _ -> Printf.printf "%s parses\n" path
-  | exception Engine.Atomic_file.Corrupt { path; reason } ->
-      Printf.eprintf "%s is corrupt: %s\n" path reason;
-      exit 1
+        History.dir
+    else List.iter (fun f -> check_json (Filename.concat History.dir f)) files
 
 let targets =
   [
@@ -1975,8 +1608,8 @@ let () =
   | [ _; "check-json"; path ] -> check_json path
   | _ :: "history" :: rest -> (
       match rest with
-      | [] -> history ()
-      | [ t ] -> history ~target:t ()
+      | [] -> History.list ()
+      | [ t ] -> History.list ~target:t ()
       | _ ->
           Printf.eprintf "usage: main.exe history [target]\n";
           exit 1)
@@ -2016,11 +1649,11 @@ let () =
       in
       parse rest;
       (match (!against, List.rev !refs) with
-      | true, [] -> diff_against_latest ~smoke:!smoke ~threshold:!threshold
+      | true, [] -> History.diff_against_latest ~smoke:!smoke ~threshold:!threshold
       | false, [ a; b ] ->
           if
-            diff_files ~threshold:!threshold (resolve_snapshot a)
-              (resolve_snapshot b)
+            History.diff_files ~threshold:!threshold (History.resolve_snapshot a)
+              (History.resolve_snapshot b)
             > 0
           then exit 1
       | _ -> usage ())

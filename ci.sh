@@ -38,7 +38,8 @@ dune runtest
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 
-# Any results snapshot on disk must still be valid JSON.
+# Any results document on disk (the tracked <target>-latest/-prev
+# heads and any local snapshots) must still be valid JSON.
 dune exec bench/main.exe -- check-results
 
 # Chaos gate (docs/ROBUSTNESS.md): deterministic harness-fault
@@ -63,8 +64,8 @@ cmp "$journal_tmp/fresh.txt" "$journal_tmp/resumed.txt" || {
   exit 1
 }
 
-# Hot-path gate: a tiny perf suite (DES events/sec, page-table
-# pages/sec, suite seq vs -j N).  The speedup gates are conditional on
+# Hot-path gate: a tiny perf suite (DES events/sec, suite seq vs
+# -j N).  The speedup gates are conditional on
 # the runner's core count (docs/PARALLELISM.md §3): on >= 2 cores -j 2
 # must beat sequential, and on >= 4 cores the work-stealing pool must
 # clear a 1.25x suite speedup at -j 4; on fewer cores the ratios are
@@ -80,15 +81,18 @@ dune exec bench/main.exe -- perf --smoke
 # byte (the conservative-protocol invariant), and on >= 4 cores the
 # closed-form fast-forward must clear a 1.25x speedup over serial
 # replay on a silent profile; on fewer cores the ratios are recorded
-# in scale-smoke.json but cannot gate.  Both smoke benches above also
-# append a tagged history entry (<target>-<tag>.json + -latest/-prev
-# heads) and scale --smoke refreshes the repo-root BENCH_scale.json,
-# so the bench trajectory is non-empty after every CI run.
+# in the document but cannot gate.  Both smoke benches publish their
+# document through one writer (bench/history.ml): a tagged snapshot
+# <target>-<timestamp>.json plus the -latest/-prev heads, for the
+# targets perf-smoke and scale-smoke; scale --smoke also copies it to
+# the repo-root BENCH_scale.json, so the bench trajectory is non-empty
+# after every CI run.
 dune exec bench/main.exe -- scale --smoke
 
 # Perf-history gate (docs/OBSERVABILITY.md §3): first prove the
 # regression detector itself fires on a seeded synthetic regression
-# and stays quiet on identical documents, then diff the smoke
+# and stays quiet on identical documents (and that the results writer
+# keeps its file layout, in a scratch directory), then diff the smoke
 # trajectory this run just extended — gated ratio metrics (speedups,
 # throughputs, overhead percentages) must not cross the threshold in
 # the bad direction; wall-clock leaves are report-only.  The first run

@@ -19,6 +19,6 @@ let int_array ~tag ~len ~init =
       Array.fill a 0 len init;
       a
   | _ ->
-      let a = Array.make (max 1 len) init in
+      let a = Array.make len init in
       Hashtbl.replace tbl tag a;
       a

@@ -116,6 +116,8 @@ let send (t : 'msg t) ~shard ~at (payload : 'msg) =
     if at < t.min_sent then t.min_sent <- at
   end
 
+let earliest_send t = if t.min_sent = max_int then None else Some t.min_sent
+
 (* One shard's share of an epoch: merge the mail received up to the
    fence (in source-shard order — the deterministic merge), fire
    everything up to the horizon, then promise every silent peer a
@@ -154,7 +156,7 @@ let epoch (t : _ t) ~horizon =
       t.nulls_sent <- t.nulls_sent + 1
     end
   done;
-  (next, (if t.min_sent = max_int then None else Some t.min_sent))
+  (next, earliest_send t)
 
 let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
   if shards <= 0 then invalid_arg "Shard.run: shards must be positive";
@@ -194,7 +196,9 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
   in
   (* Round zero populates the heaps (in parallel: [init] may be the
      expensive part, e.g. per-node noise draws); every later round is
-     one epoch under the freshly computed horizon. *)
+     one epoch under the freshly computed horizon.  Mail sent from
+     [init] bounds the first epoch exactly as mail sent in an epoch
+     bounds the next. *)
   let epochs = ref 0 in
   let reports =
     ref
@@ -202,7 +206,7 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
          (fun i ->
            let t = ts.(i) in
            init t;
-           (Sim.next_time t.sim, None))
+           (Sim.next_time t.sim, earliest_send t))
          ids)
   in
   (* The observer fires on the coordinator, after the epoch barrier:

@@ -926,6 +926,36 @@ let test_shard_fenced_drain () =
   done;
   Pool.shutdown pool
 
+let test_shard_init_send () =
+  (* Mail sent from [init] bounds the first epoch like mail sent in any
+     epoch: with no other event pending, round zero must still report
+     it, or the run ends with the message stranded in its mailbox. *)
+  let lookahead = 10 in
+  let got = ref [] in
+  let stats =
+    Shard.run ~shards:2 ~lookahead
+      ~init:(fun t ->
+        if Shard.id t = 0 then Shard.send t ~shard:1 ~at:lookahead "init")
+      ~receive:(fun t m -> got := (Shard.id t, Shard.now t, m) :: !got)
+      ()
+  in
+  Alcotest.(check (list (triple int int string)))
+    "delivered at its timestamp" [ (1, lookahead, "init") ] !got;
+  check_int "one crossing" 1
+    (Array.fold_left ( + ) 0 stats.Shard.cross_messages);
+  check_bool "at least one epoch" true (stats.Shard.epochs >= 1)
+
+(* ------------------------------------------------------------------ *)
+(* Scratch *)
+
+let test_scratch_zero_length () =
+  (* Exactly [len] elements, zero included, and a zero-length array is
+     reused like any other rather than reallocated on every call. *)
+  let a = Scratch.int_array ~tag:"test.zero" ~len:0 ~init:7 in
+  let b = Scratch.int_array ~tag:"test.zero" ~len:0 ~init:7 in
+  check_int "length 0" 0 (Array.length a);
+  check_bool "same array for one tag" true (a == b)
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -1340,7 +1370,10 @@ let () =
           Alcotest.test_case "shard count invariance" `Quick
             test_shard_single_equals_many;
           Alcotest.test_case "fenced drain" `Quick test_shard_fenced_drain;
+          Alcotest.test_case "send from init" `Quick test_shard_init_send;
         ] );
+      ( "scratch",
+        [ Alcotest.test_case "zero length" `Quick test_scratch_zero_length ] );
       ( "pool",
         [
           Alcotest.test_case "invalid size" `Quick test_pool_invalid_size;
